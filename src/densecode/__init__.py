@@ -4,8 +4,9 @@ together with the generalized geometric measure of entanglement."""
 
 from .capacity import (CAMPAIGN_OPT, DEFAULT_OPT, BoundReport,
                        EncodingUnitaryParams, Ensemble, OptConfig,
-                       OptimizationError, closed_form_ghz_bound,
-                       covariant_chi, ensemble_chi, extremum_residual_ad,
+                       OptimizationError, SearchDiagnostics,
+                       closed_form_ghz_bound, covariant_chi, ensemble_chi,
+                       extremum_residual_ad,
                        ghz_zeta_eigenvalues, global_capacity,
                        locc_bound_noiseless, min_output_entropy,
                        noisy_locc_bound, pauli_encoded_ensemble)
@@ -26,8 +27,8 @@ __all__ = [
     "BipartitionScan", "BoundReport", "CAMPAIGN_OPT", "ChannelSpec",
     "DEFAULT_OPT", "DensityOp", "EncodingUnitaryParams", "Ensemble",
     "GghzParams", "KrausSet", "OptConfig", "OptimizationError", "PureState",
-    "RegisterLayout", "RngSeed", "StateFormatError", "Theorem2Flags",
-    "above_gghz_line", "apply_channel", "apply_local_unitary",
+    "RegisterLayout", "RngSeed", "SearchDiagnostics", "StateFormatError",
+    "Theorem2Flags", "above_gghz_line", "apply_channel", "apply_local_unitary",
     "binary_entropy", "channel_to_string", "check_covariance",
     "closed_form_ghz_bound", "covariant_chi", "eigvals_hermitian",
     "ensemble_chi", "extremum_residual_ad", "ggm", "gghz_ggm_at_capacity",

@@ -3,7 +3,7 @@
 The quantities computed here:
 
 * ``global_capacity`` -- capacity with the receivers decoding jointly:
-  log d_S + S(rho^R) - S(rho^{SR}).
+  log d_S + S(rho^R) - S(rho).
 * ``ensemble_chi`` -- the LOCC accessible-information bound
   S(xi^1) + S(xi^2) - max_x sum_i p_i S(xi^x_i) for an explicit ensemble.
 * ``locc_bound_noiseless`` -- the noiseless LOCC bound
@@ -16,24 +16,26 @@ The quantities computed here:
   an independent route that must agree with ``noisy_locc_bound`` for
   covariant noise.
 
-Encoding unitaries are parameterized per sender qubit as
+Encoding unitaries are reported per sender qubit as
 
     U = [[a e^{i t1},          sqrt(1-a^2) e^{-i t2}],
          [-sqrt(1-a^2) e^{i t2},  a e^{-i t1}]]
 
-with a in [0, 1] and t1, t2 in [0, pi/2]. Minimization is a coarse grid
-(vectorized, batched eigensolves) followed by Nelder-Mead refinement.
+with a in [0, 1] and t1, t2 in [0, 2 pi), which covers all of SU(2). The
+search runs over the rotations R(U) in SO(3), R_ji = tr(s_j U s_i U^+)/2, in
+which the side state is linear: zeta(R) = C_0 + sum_ji R_ji C_ji, with the
+C built once per side. ``minimize`` descends on SO(3) from fixed starts,
+with the exact gradient dS/dR_ji = -tr[log2(zeta) C_ji].
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from . import channels as ch
 from .qcore import (DensityOp, RegisterLayout, as_density_matrix,
@@ -45,24 +47,24 @@ class OptimizationError(RuntimeError):
     """The entropy minimizer hit a non-finite objective."""
 
 
+TWO_PI = 2.0 * math.pi
+
+
 @dataclass(frozen=True)
 class EncodingUnitaryParams:
-    """Parameters (a, theta1, theta2) of a sender-local 2x2 encoding unitary."""
+    """Parameters (a, theta1, theta2) of a sender-local 2x2 encoding unitary:
+    a in [0, 1], theta1 and theta2 in [0, 2 pi)."""
 
     a: float
     theta1: float
     theta2: float
 
     def __post_init__(self):
-        half_pi = math.pi / 2
-        if not -1e-9 <= self.a <= 1 + 1e-9:
+        if not 0.0 <= self.a <= 1.0:
             raise ValueError(f"a = {self.a} outside [0, 1]")
         for name, t in (("theta1", self.theta1), ("theta2", self.theta2)):
-            if not -1e-9 <= t <= half_pi + 1e-9:
-                raise ValueError(f"{name} = {t} outside [0, pi/2]")
-        object.__setattr__(self, "a", min(max(self.a, 0.0), 1.0))
-        object.__setattr__(self, "theta1", min(max(self.theta1, 0.0), half_pi))
-        object.__setattr__(self, "theta2", min(max(self.theta2, 0.0), half_pi))
+            if not 0.0 <= t < TWO_PI:
+                raise ValueError(f"{name} = {t} outside [0, 2 pi)")
 
     def matrix(self) -> np.ndarray:
         return _qubit_unitaries(np.array([[self.a, self.theta1, self.theta2]]))[0]
@@ -75,32 +77,51 @@ IDENTITY_ENCODING = EncodingUnitaryParams(1.0, 0.0, 0.0)
 class OptConfig:
     """Settings for the encoding-unitary entropy minimization.
 
-    The default grid steps are (1/64, pi/32, pi/32); Nelder-Mead then
-    refines from ``refine_starts`` well-separated low grid points down to
-    ``refine_tol`` in parameter space. ``parameterization`` is "single"
-    (one qubit per sender group, the reference case), "product"
-    (independent 2x2 unitary per qubit of a multi-qubit group), or "full"
-    (a Givens-parameterized unitary on the whole group).
+    ``starts`` fixed starting rotations (the identity first) descend until
+    every one has a gradient norm below ``grad_tol`` bits per radian, or for
+    at most ``max_steps`` steps. ``parameterization`` is "single" (one qubit
+    per sender group, the reference case) or "product" (an independent 2x2
+    unitary per qubit of a multi-qubit group).
     """
 
-    a_step: float = 1.0 / 64.0
-    theta_step: float = math.pi / 32.0
-    refine_tol: float = 1e-8
+    starts: int = 16
+    max_steps: int = 400
+    grad_tol: float = 1e-7
     parameterization: str = "single"
-    n_probes: int = 4096
-    chunk: int = 8192
-    refine_maxfev: int = 4000
-    refine_starts: int = 4
 
     def __post_init__(self):
-        if self.parameterization not in ("single", "product", "full"):
+        if self.parameterization not in ("single", "product"):
             raise ValueError(f"unknown parameterization {self.parameterization!r}")
+        for name in ("starts", "max_steps", "grad_tol"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 DEFAULT_OPT = OptConfig()
-# campaign settings: same grid, fewer refinement starts and a slightly
-# looser polish; agrees with DEFAULT_OPT to well below 1e-6 (see tests)
-CAMPAIGN_OPT = OptConfig(refine_tol=1e-7, refine_starts=2)
+# the settings of campaign runs: the descent needs no cheaper variant
+CAMPAIGN_OPT = DEFAULT_OPT
+
+
+@dataclass(frozen=True)
+class SearchDiagnostics:
+    """How one side's minimum entropy was found.
+
+    ``start_value`` is the lowest objective over the starting rotations and
+    ``final_value`` the reported minimum. ``grad_norm`` is the gradient norm
+    at the reported minimizer, in bits per radian, and ``converged`` says it
+    is within the tolerance. ``elapsed_s`` covers building the side's
+    objective and the descent.
+    """
+
+    starts: int
+    steps: int
+    evaluations: int
+    start_value: float
+    final_value: float
+    grad_norm: float
+    converged: bool
+    elapsed_s: float
 
 
 @dataclass(frozen=True)
@@ -111,7 +132,8 @@ class BoundReport:
     n_sender_qubits + term_S_R1 + term_S_R2 - term_min_entropy
     exactly as stored. ``minimizer`` holds the encoding parameters of the
     side achieving the max (one EncodingUnitaryParams per qubit of that
-    sender group; a raw parameter vector under the "full" parameterization).
+    sender group). ``diagnostics`` holds one SearchDiagnostics per side, or
+    None for a side evaluated without a search.
     """
 
     bound_bits: float
@@ -126,6 +148,7 @@ class BoundReport:
     minimizer_side1: tuple
     minimizer_side2: tuple
     parameterization: str = "single"
+    diagnostics: tuple = (None, None)
 
 
 @dataclass(frozen=True)
@@ -214,7 +237,10 @@ def _receiver_entropies(rho: np.ndarray, layout: RegisterLayout) -> tuple[float,
     return s1, s2
 
 
-def _assemble_report(layout, s_r1, s_r2, s1, s2, m1, m2, parameterization) -> BoundReport:
+
+
+def _assemble_report(layout, s_r1, s_r2, sides, parameterization) -> BoundReport:
+    (s1, m1, d1), (s2, m2, d2) = sides
     which = 1 if s1 >= s2 else 2
     term_min = s1 if which == 1 else s2
     n_send = layout.n_senders
@@ -224,7 +250,7 @@ def _assemble_report(layout, s_r1, s_r2, s1, s2, m1, m2, parameterization) -> Bo
         which_side=which, minimizer=(m1 if which == 1 else m2),
         n_sender_qubits=n_send, entropy_side1=s1, entropy_side2=s2,
         minimizer_side1=m1, minimizer_side2=m2,
-        parameterization=parameterization)
+        parameterization=parameterization, diagnostics=(d1, d2))
 
 
 def locc_bound_noiseless(state, layout: RegisterLayout | None = None) -> BoundReport:
@@ -233,17 +259,20 @@ def locc_bound_noiseless(state, layout: RegisterLayout | None = None) -> BoundRe
     side entropies without noise, so the minimizer is the identity."""
     layout = (layout or state.layout).require_protocol()
     rho = as_density_matrix(state)
-    n = layout.n_qubits
     s_r1, s_r2 = _receiver_entropies(rho, layout)
-    s1 = von_neumann_entropy(partial_trace_matrix(rho, list(layout.side_indices(1)), n))
-    s2 = von_neumann_entropy(partial_trace_matrix(rho, list(layout.side_indices(2)), n))
-    m1 = tuple(IDENTITY_ENCODING for _ in layout.group_indices(1))
-    m2 = tuple(IDENTITY_ENCODING for _ in layout.group_indices(2))
-    return _assemble_report(layout, s_r1, s_r2, s1, s2, m1, m2, "single")
+    sides = [(_side_entropy(rho, layout, side),
+              tuple(IDENTITY_ENCODING for _ in layout.group_indices(side)), None)
+             for side in (1, 2)]
+    return _assemble_report(layout, s_r1, s_r2, sides, "single")
+
+
+def _side_entropy(rho: np.ndarray, layout: RegisterLayout, side: int) -> float:
+    marg = partial_trace_matrix(rho, list(layout.side_indices(side)), layout.n_qubits)
+    return von_neumann_entropy(marg)
 
 
 # ---------------------------------------------------------------------------
-# batched objective machinery
+# unitaries and rotations
 # ---------------------------------------------------------------------------
 
 def _qubit_unitaries(params: np.ndarray) -> np.ndarray:
@@ -260,315 +289,278 @@ def _qubit_unitaries(params: np.ndarray) -> np.ndarray:
     return u
 
 
-def _group_unitaries(params: np.ndarray) -> np.ndarray:
-    """(G, gs, 3) -> (G, 2^gs, 2^gs) product of per-qubit unitaries."""
-    g, gs, _ = params.shape
-    u = _qubit_unitaries(params[:, 0, :])
-    for j in range(1, gs):
-        v = _qubit_unitaries(params[:, j, :])
-        d = u.shape[1]
-        u = np.einsum("gab,gcd->gacbd", u, v).reshape(g, 2 * d, 2 * d)
-    return u
+def _so3_exp(v: np.ndarray) -> np.ndarray:
+    """(..., 3) rotation vectors -> (..., 3, 3) rotations exp([v]_x)."""
+    theta = np.linalg.norm(v, axis=-1)[..., None, None]
+    k = np.zeros(v.shape + (3,))
+    k[..., 0, 1], k[..., 0, 2], k[..., 1, 2] = -v[..., 2], v[..., 1], -v[..., 0]
+    k -= np.swapaxes(k, -1, -2)
+    # sin(t)/t and (1 - cos(t))/t^2 through sinc, finite at t = 0
+    s = np.sinc(theta / math.pi)
+    c = 0.5 * np.sinc(theta / TWO_PI) ** 2
+    return np.eye(3) + s * k + c * (k @ k)
 
 
-def _full_unitaries(params: np.ndarray, d: int) -> np.ndarray:
-    """Givens-style parameterization of U(d): a chain of two-level rotations
-    (theta, phi) over every index pair, then d diagonal phases.
+def _params_from_rotation(r: np.ndarray) -> EncodingUnitaryParams:
+    """Encoding parameters of a unitary U with rotation ``r``:
+    U s_i U^+ = sum_j r[j, i] s_j. U = w - i(x s_x + y s_y + z s_z) is read
+    off the quaternion (w, x, y, z), taken from the largest column of
+    4 q q^T to stay accurate near every rotation."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
+    qq = np.array([
+        [1 + r00 + r11 + r22, r21 - r12, r02 - r20, r10 - r01],
+        [r21 - r12, 1 + r00 - r11 - r22, r01 + r10, r02 + r20],
+        [r02 - r20, r01 + r10, 1 - r00 + r11 - r22, r12 + r21],
+        [r10 - r01, r02 + r20, r12 + r21, 1 - r00 - r11 + r22]])
+    col = qq[:, int(np.argmax(np.diag(qq)))]
+    w, x, y, z = col / np.linalg.norm(col)
+    # U[0, 0] = a e^{i t1} = w - i z and U[0, 1] = b e^{-i t2} = -y - i x
+    # the second "% TWO_PI" maps to 0 a tiny negative angle that rounds up to 2 pi
+    a = min(math.hypot(w, z), 1.0)
+    theta1 = math.atan2(-z, w) % TWO_PI % TWO_PI if a > 0.0 else 0.0
+    theta2 = math.atan2(x, -y) % TWO_PI % TWO_PI if a < 1.0 else 0.0
+    return EncodingUnitaryParams(a, theta1, theta2)
 
-    ``params`` has shape (G, d*d): d(d-1)/2 thetas, d(d-1)/2 phis, d phases.
+
+_START_SEED = 20141222
+
+
+def _start_rotations(count: int, group_size: int) -> np.ndarray:
+    """(count, group_size, 3, 3) fixed starting rotations, the identity first;
+    the rest are exp of rotation vectors drawn uniformly from the ball of
+    radius pi under a fixed seed."""
+    gen = np.random.default_rng([_START_SEED, group_size])
+    v = gen.standard_normal((count, group_size, 3))
+    radius = math.pi * gen.uniform(0.0, 1.0, (count, group_size, 1)) ** (1 / 3)
+    v *= radius / np.linalg.norm(v, axis=-1, keepdims=True)
+    v[0] = 0.0
+    return _so3_exp(v)
+
+
+# ---------------------------------------------------------------------------
+# the objective: zeta linear in the Kronecker product of the maps 1 (+) R_q
+# ---------------------------------------------------------------------------
+
+def _make_kraus_stage(ops, targets, n: int):
+    """Returns f(rhos (G,d,d)) -> (G,d,d): sum_k (K on targets) rho K^dag,
+    as one product with the superoperator sum_k K (x) K* on the targets."""
+    targets = list(targets)
+    rest = [q for q in range(n) if q not in targets]
+    fwd = ([0] + [1 + q for q in rest] + [1 + n + q for q in rest]
+           + [1 + q for q in targets] + [1 + n + q for q in targets])
+    back = list(np.argsort(fwd))
+    sup_t = sum(np.kron(k, k.conj()) for k in ops).T
+    shape = (1 << 2 * len(rest), 1 << 2 * len(targets))
+    d = 1 << n
+
+    def stage(rhos: np.ndarray) -> np.ndarray:
+        g = rhos.shape[0]
+        t = rhos.reshape((g,) + (2,) * (2 * n)).transpose(fwd).reshape((g,) + shape)
+        out = (t @ sup_t).reshape((g,) + (2,) * (2 * n))
+        return out.transpose(back).reshape(g, d, d)
+
+    return stage
+
+
+def _pauli_images(rho: np.ndarray, group, n: int, post: Callable) -> np.ndarray:
+    """The (4^k, 4^k, dk, dk) images post(P_mu (x) X_nu) / 2^k over the
+    k-qubit Pauli strings P on ``group``, with X_nu = tr_group[(P_nu (x) 1) rho].
+
+    Since rho = sum_nu P_nu (x) X_nu / 2^k and U P_nu U^+ = sum_mu T_mu,nu P_mu
+    with T the Kronecker product of the per-qubit maps 1 (+) R_q, the encoded
+    side state is zeta = sum_mu,nu T_mu,nu images[mu, nu].
     """
-    g = params.shape[0]
-    npairs = d * (d - 1) // 2
-    thetas = params[:, :npairs]
-    phis = params[:, npairs:2 * npairs]
-    diags = params[:, 2 * npairs:]
-    u = np.broadcast_to(np.eye(d, dtype=complex), (g, d, d)).copy()
-    k = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            c = np.cos(thetas[:, k])[:, None]
-            s = np.sin(thetas[:, k])
-            ph = np.exp(1j * phis[:, k])
-            row_i = u[:, i, :].copy()
-            row_j = u[:, j, :].copy()
-            u[:, i, :] = c * row_i - ((s * ph.conj())[:, None]) * row_j
-            u[:, j, :] = ((s * ph)[:, None]) * row_i + c * row_j
-            k += 1
-    u *= np.exp(1j * diags)[:, :, None]
-    return u
-
-
-def _full_param_count(d: int) -> int:
-    return d * d
-
-
-def _make_encode_stage(rho: np.ndarray, targets: Sequence[int], n: int):
-    """Returns f(U_batch (G,K,K)) -> (G,d,d): (U on targets) rho (U)^dag."""
-    targets = list(targets)
-    rest = [q for q in range(n) if q not in targets]
-    perm = targets + rest
-    kdim = 1 << len(targets)
-    rdim = 1 << len(rest)
+    group = list(group)
+    k = len(group)
+    rest = [q for q in range(n) if q not in group]
+    perm = group + rest
+    kdim, rdim, d = 1 << k, 1 << len(rest), 1 << n
     t = rho.reshape([2] * (2 * n)).transpose(perm + [p + n for p in perm])
-    t = np.ascontiguousarray(t.reshape(kdim, rdim, kdim, rdim))
+    t = t.reshape(kdim, rdim, kdim, rdim)
+    paulis = np.stack(ch.pauli_basis(k))
+    x = np.einsum("nab,brat->nrt", paulis, t)
+    m = np.einsum("mac,nrt->mnarct", paulis, x) / kdim
     inv = list(np.argsort(perm))
     back = [0] + [1 + i for i in inv] + [1 + n + i for i in inv]
-    d = 1 << n
-
-    def stage(u: np.ndarray) -> np.ndarray:
-        g = u.shape[0]
-        tmp = np.einsum("gab,brct->garct", u, t)
-        out = np.einsum("garct,gdc->gardt", tmp, u.conj())
-        return out.reshape([g] + [2] * (2 * n)).transpose(back).reshape(g, d, d)
-
-    return stage
+    m = m.reshape([-1] + [2] * (2 * n)).transpose(back).reshape(-1, d, d)
+    images = post(m)
+    return images.reshape((len(paulis), len(paulis)) + images.shape[1:])
 
 
-def _make_kraus_stage(ops: Sequence[np.ndarray], targets: Sequence[int], n: int):
-    """Returns f(rhos (G,d,d)) -> (G,d,d): sum_k (K on targets) rho K^dag."""
-    targets = list(targets)
-    rest = [q for q in range(n) if q not in targets]
-    perm = targets + rest
-    kdim = 1 << len(targets)
-    rdim = 1 << len(rest)
-    fwd = [0] + [1 + p for p in perm] + [1 + n + p for p in perm]
-    inv = list(np.argsort(perm))
-    back = [0] + [1 + i for i in inv] + [1 + n + i for i in inv]
-    karr = np.stack([np.asarray(k, dtype=complex) for k in ops])
-    d = 1 << n
-
-    def stage(rhos: np.ndarray) -> np.ndarray:
-        g = rhos.shape[0]
-        t = rhos.reshape([g] + [2] * (2 * n)).transpose(fwd)
-        t = t.reshape(g, kdim, rdim, kdim, rdim)
-        tmp = np.einsum("mab,gbrct->gmarct", karr, t)
-        out = np.einsum("gmarct,mdc->gardt", tmp, karr.conj())
-        return out.reshape([g] + [2] * (2 * n)).transpose(back).reshape(g, d, d)
-
-    return stage
+_LOG_FLOOR = 1e-300   # eigenvalue floor inside log2 for the gradient
 
 
-def _make_ptrace_stage(keep: Sequence[int], n: int):
-    keep = sorted(keep)
-    in_idx = [0] + [1 + q for q in range(n)] + \
-             [1 + n + q if q in keep else 1 + q for q in range(n)]
-    out_idx = [0] + [1 + q for q in keep] + [1 + n + q for q in keep]
-    dk = 1 << len(keep)
+class _EntropyObjective:
+    """S(zeta) and its exact gradient for batches of per-qubit rotations.
 
-    def stage(rhos: np.ndarray) -> np.ndarray:
-        g = rhos.shape[0]
-        t = rhos.reshape([g] + [2] * (2 * n))
-        return np.einsum(t, in_idx, out_idx).reshape(g, dk, dk)
+    Called with (S, k, 3, 3) rotations, returns the (S,) entropies in bits
+    and the (S, k, 3, 3) Euclidean gradients dS/dR_q, from one batched
+    eigendecomposition.
+    """
 
-    return stage
+    def __init__(self, images: np.ndarray, group_size: int):
+        self.k = group_size
+        m = images.shape[0]
+        self.dk = images.shape[-1]
+        self.images = images.reshape(m * m, self.dk * self.dk)
+        self.images_h = self.images.conj().T
 
+    def __call__(self, r: np.ndarray):
+        s = r.shape[0]
+        t = np.zeros(r.shape[:2] + (4, 4))
+        t[:, :, 0, 0] = 1.0
+        t[:, :, 1:, 1:] = r
+        full = t[:, 0]
+        for q in range(1, self.k):
+            full = np.einsum("sab,scd->sacbd", full, t[:, q]).reshape(
+                s, 4 * full.shape[1], 4 * full.shape[2])
+        zeta = (full.reshape(s, -1) @ self.images).reshape(s, self.dk, self.dk)
+        w, v = np.linalg.eigh(zeta)
+        w = np.clip(w, 0.0, None)
+        logs = np.log2(np.maximum(w, _LOG_FLOOR))
+        values = -(w * logs).sum(axis=-1)
+        log_zeta = (v * logs[:, None, :]) @ np.swapaxes(v.conj(), -1, -2)
+        # dS/dT_mu,nu = -tr[log2(zeta) images[mu, nu]]; tr zeta is fixed
+        dt = -(log_zeta.reshape(s, -1) @ self.images_h).real
+        return values, self._rotation_gradients(dt.reshape(s, *full.shape[1:]), t)
 
-def _entropies_batch(mats: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(mats)
-    w = np.clip(w, 0.0, None)
-    logs = np.log2(np.where(w > 0.0, w, 1.0))
-    return -(w * logs).sum(axis=-1)
-
-
-def _encoded_qubit_basis(rho: np.ndarray, target: int, n: int) -> np.ndarray:
-    """The 16 matrices E_ab rho E_cd^dag for the single-qubit matrix units
-    E_ab = |a><b| on ``target``, stacked as (16, d, d) in (a,b,c,d) order."""
-    rest = [q for q in range(n) if q != target]
-    perm = [target] + rest
-    rdim = 1 << (n - 1)
-    t = rho.reshape([2] * (2 * n)).transpose(perm + [p + n for p in perm])
-    t = t.reshape(2, rdim, 2, rdim)
-    enc = np.zeros((16, 2, rdim, 2, rdim), dtype=complex)
-    i = 0
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for d in range(2):
-                    enc[i, a, :, c, :] = t[b, :, d, :]
-                    i += 1
-    inv = list(np.argsort(perm))
-    back = [0] + [1 + i for i in inv] + [1 + n + i for i in inv]
-    dim = 1 << n
-    return enc.reshape([16] + [2] * (2 * n)).transpose(back).reshape(16, dim, dim)
-
-
-def _bilinear_objective(rho: np.ndarray, post, target: int, n: int):
-    """Entropy objective for a one-qubit sender group via the precomputed
-    bilinear form zeta(U) = sum_{ab,cd} U[a,b] U*[c,d] Z[a,b,c,d]."""
-    images = post(_encoded_qubit_basis(rho, target, n))
-    dk = images.shape[-1]
-    z = images.reshape(2, 2, 2, 2, dk, dk)
-
-    def batch(unitaries: np.ndarray) -> np.ndarray:
-        tmp = np.einsum("abcdxy,gcd->gabxy", z, unitaries.conj())
-        zeta = np.einsum("gab,gabxy->gxy", unitaries, tmp)
-        return _entropies_batch(zeta)
-
-    return batch
+    def _rotation_gradients(self, dt: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Chain rule from dS/dT to dS/dR_q, contracting every other qubit's
+        map into the Kronecker product."""
+        s, k = t.shape[0], self.k
+        # axis labels: 0 the batch, 1 + p the row and 1 + k + p the column of qubit p
+        args = [dt.reshape((s,) + (4,) * (2 * k)), list(range(2 * k + 1))]
+        grads = np.empty((s, k, 3, 3))
+        for q in range(k):
+            others = [x for p in range(k) if p != q
+                      for x in (t[:, p], [0, 1 + p, 1 + k + p])]
+            grads[:, q] = np.einsum(*args, *others, [0, 1 + q, 1 + k + q])[:, 1:, 1:]
+        return grads
 
 
-def _objective_full_route(rho: np.ndarray, spec: ch.ChannelSpec,
-                          layout: RegisterLayout, side: int):
-    """Objective on the complete register: encode the side's sender group,
-    apply the channel to all senders, trace onto the side, take the entropy."""
-    n = layout.n_qubits
-    group = list(layout.group_indices(side))
-    kraus = _make_kraus_stage(ch.kraus_for(spec, layout).operators,
-                              list(layout.sender_indices), n)
-    ptr = _make_ptrace_stage(list(layout.side_indices(side)), n)
-    if len(group) == 1:
-        return _bilinear_objective(rho, lambda m: ptr(kraus(m)), group[0], n), 1
-    encode = _make_encode_stage(rho, group, n)
+# ---------------------------------------------------------------------------
+# the minimizer: batched steepest descent on SO(3)^k
+# ---------------------------------------------------------------------------
 
-    def batch(unitaries: np.ndarray) -> np.ndarray:
-        return _entropies_batch(ptr(kraus(encode(unitaries))))
+@dataclass(frozen=True)
+class DescentResult:
+    """Outcome of ``minimize``: ``x`` the (k, 3, 3) rotations of the reported
+    minimum, ``fun`` its value, ``nfev`` objective evaluations (one per
+    start per step)."""
 
-    return batch, len(group)
+    x: np.ndarray
+    fun: float
+    nfev: int
+    steps: int
+    start_fun: float
+    grad_norm: float
+    converged: bool
 
 
-def _objective_reduced_route(rho: np.ndarray, spec: ch.ChannelSpec,
-                             layout: RegisterLayout, side: int):
-    """Objective on the reduced side state: trace first, then apply the
-    channel's marginal Kraus set on the side's sender group."""
+_STEP0 = 1.0        # initial step, radians per unit gradient
+_GROW, _SHRINK = 2.0, 0.25
+_TIE_ATOL = 1e-12
+
+
+def _riemannian_gradient(r: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Rotation vectors of R^T G - G^T R: the gradient in the tangent space,
+    in bits per radian (the slope of S along R exp([xi]_x) is omega . xi)."""
+    a = np.swapaxes(r, -1, -2) @ g
+    return np.stack([a[..., 2, 1] - a[..., 1, 2],
+                           a[..., 0, 2] - a[..., 2, 0],
+                           a[..., 1, 0] - a[..., 0, 1]], axis=-1)
+
+
+def minimize(objective: Callable, starts: np.ndarray, cfg: OptConfig) -> DescentResult:
+    """Steepest descent R <- R exp(-eta skew(R^T G)) from every start at once.
+
+    Each start keeps its own step eta: a step that lowers its value is
+    taken and eta doubles, one that does not is refused and eta shrinks
+    fourfold. A start stops once its gradient norm is below
+    ``cfg.grad_tol`` or its step no longer moves it; the batch stops when
+    every start has stopped, or after ``cfg.max_steps`` steps. A value
+    within 1e-12 of the minimum at the first start's initial point is
+    reported there, so flat objectives return the first start.
+    """
+    r = np.array(starts, dtype=float)
+    values, grads = objective(r)
+    if not np.all(np.isfinite(values)):
+        # a refused step never replaces a finite value, so this check suffices
+        raise OptimizationError("entropy objective is non-finite at the starts")
+    n = r.shape[0]
+    nfev = n
+    start_values = values.copy()
+    omega = _riemannian_gradient(r, grads)
+    first_norm = float(np.sqrt((omega[0] ** 2).sum()))
+    eta = np.full(n, _STEP0)
+    steps = 0
+    while steps < cfg.max_steps:
+        norms = np.sqrt((omega ** 2).sum(axis=(1, 2)))
+        active = (norms > cfg.grad_tol) & (eta * norms > 1e-15)
+        if not active.any():
+            break
+        trial = r @ _so3_exp(-eta[:, None, None] * omega)
+        trial_values, trial_grads = objective(trial)
+        nfev += n
+        steps += 1
+        take = active & (trial_values <= values)
+        r[take] = trial[take]
+        values[take] = trial_values[take]
+        omega[take] = _riemannian_gradient(trial[take], trial_grads[take])
+        eta = np.where(take, eta * _GROW, np.where(active, eta * _SHRINK, eta))
+    best = int(np.argmin(values))
+    if start_values[0] <= values[best] + _TIE_ATOL:
+        x, fun, grad_norm = np.array(starts[0], dtype=float), start_values[0], first_norm
+    else:
+        x, fun = r[best], values[best]
+        grad_norm = float(np.sqrt((omega[best] ** 2).sum()))
+    return DescentResult(x=x, fun=float(fun), nfev=nfev, steps=steps,
+                         start_fun=float(start_values.min()),
+                         grad_norm=grad_norm, converged=grad_norm <= cfg.grad_tol)
+
+
+# ---------------------------------------------------------------------------
+# side minima and the noisy bounds
+# ---------------------------------------------------------------------------
+
+def _side_images(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
+                 side: int, reduced: bool) -> np.ndarray:
+    """The side's objective images through one of two routes: on the full
+    register (channel on every sender, then the partial trace), or on the
+    reduced side state with the channel's marginal Kraus set."""
     n = layout.n_qubits
     keep = list(layout.side_indices(side))
-    rho_side = partial_trace_matrix(rho, keep, n)
-    n_side = len(keep)
-    group_pos = [keep.index(q) for q in layout.group_indices(side)]
-    kraus = _make_kraus_stage(ch.marginal_kraus(spec, layout, side).operators,
-                              group_pos, n_side)
-    if len(group_pos) == 1:
-        return _bilinear_objective(rho_side, kraus, group_pos[0], n_side), 1
-    encode = _make_encode_stage(rho_side, group_pos, n_side)
-
-    def batch(unitaries: np.ndarray) -> np.ndarray:
-        return _entropies_batch(kraus(encode(unitaries)))
-
-    return batch, len(group_pos)
+    group = list(layout.group_indices(side))
+    if reduced:
+        n_side = len(keep)
+        pos = [keep.index(q) for q in group]
+        kraus = _make_kraus_stage(ch.marginal_kraus(spec, layout, side).operators,
+                                  pos, n_side)
+        return _pauli_images(partial_trace_matrix(rho, keep, n), pos, n_side, kraus)
+    kraus = _make_kraus_stage(ch.kraus_for(spec, layout).operators,
+                              list(layout.sender_indices), n)
+    return _pauli_images(rho, group, n,
+                         lambda m: partial_trace_matrix(kraus(m), keep, n))
 
 
-# ---------------------------------------------------------------------------
-# the minimizer: coarse grid + Nelder-Mead refinement
-# ---------------------------------------------------------------------------
-
-def _grid_params(cfg: OptConfig) -> np.ndarray:
-    na = max(int(round(1.0 / cfg.a_step)), 1) + 1
-    nt = max(int(round((math.pi / 2) / cfg.theta_step)), 1) + 1
-    a = np.linspace(0.0, 1.0, na)
-    t = np.linspace(0.0, math.pi / 2, nt)
-    aa, t1, t2 = np.meshgrid(a, t, t, indexing="ij")
-    return np.stack([aa.ravel(), t1.ravel(), t2.ravel()], axis=1)[:, None, :]
-
-
-def _sobol_params(n_params: int, count: int, bounds) -> np.ndarray:
-    sampler = qmc.Sobol(d=n_params, scramble=True,
-                        seed=np.random.default_rng(1234))
-    m = max(int(math.ceil(math.log2(max(count, 2)))), 1)
-    pts = sampler.random_base2(m)[:count]
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    return lo + pts * (hi - lo)
-
-
-def _wrap_theta(t: float) -> float:
-    # reduce mod pi, then reflect into [0, pi/2] (cos(2t) is preserved)
-    t = math.fmod(t, math.pi)
-    if t < 0:
-        t += math.pi
-    return math.pi - t if t > math.pi / 2 else t
-
-
-def _canonical_candidates(p: np.ndarray) -> list[np.ndarray]:
-    # Representatives with theta2 = 0 that preserve the objective whenever
-    # only a theta difference/sum (or nothing) matters; validated by value.
-    a, t1, t2 = p[0, 0, 0], p[0, 0, 1], p[0, 0, 2]
-    cands = []
-    for th in (0.0, _wrap_theta(abs(t1 - t2)), _wrap_theta(t1 + t2)):
-        cands.append(np.array([[[a, th, 0.0]]]))
-    return cands
-
-
-def _minimize_entropy(batch_fn: Callable, gs: int, cfg: OptConfig):
-    """Minimize a batched entropy objective over encoding parameters.
-
-    Returns (min_entropy, params) where params has shape (gs, 3) for the
-    per-qubit parameterizations or (d*d,) for "full".
-    """
-    if cfg.parameterization == "full":
-        d = 1 << gs
-        npar = _full_param_count(d)
-        npairs = d * (d - 1) // 2
-        bounds = [(0.0, math.pi / 2)] * npairs + [(0.0, 2 * math.pi)] * (npairs + d)
-        probes = _sobol_params(npar, cfg.n_probes, bounds)
-        to_unitaries = lambda x: _full_unitaries(x, d)
-        shape_back = lambda x: x
-    else:
-        if gs == 1:
-            probes = _grid_params(cfg).reshape(-1, 3)
-        else:
-            bounds3 = ([(0.0, 1.0), (0.0, math.pi / 2), (0.0, math.pi / 2)] * gs)
-            probes = _sobol_params(3 * gs, cfg.n_probes, bounds3)
-        bounds = [(0.0, 1.0), (0.0, math.pi / 2), (0.0, math.pi / 2)] * gs
-        to_unitaries = lambda x: _group_unitaries(x.reshape(-1, gs, 3))
-        shape_back = lambda x: x.reshape(gs, 3)
-
-    all_vals = np.empty(probes.shape[0])
-    for start in range(0, probes.shape[0], cfg.chunk):
-        block = probes[start:start + cfg.chunk]
-        all_vals[start:start + block.shape[0]] = batch_fn(to_unitaries(block))
-    if not np.all(np.isfinite(all_vals)):
-        raise OptimizationError("entropy objective is non-finite on the grid")
-    order = np.argsort(all_vals)
-    best_val = float(all_vals[order[0]])
-    best_x = probes[order[0]].reshape(-1)
-
-    # local refinement from several well-separated basins: the landscape can
-    # hold distinct local minima and the lowest grid point need not sit in
-    # the basin of the global one
-    scale = np.array([hi - lo for lo, hi in bounds])
-    starts = [best_x]
-    for i in order[1:]:
-        if len(starts) >= max(cfg.refine_starts, 1):
-            break
-        x = probes[i].reshape(-1)
-        if all(np.abs((x - s) / scale).max() > 0.15 for s in starts):
-            starts.append(x)
-
-    def single(x: np.ndarray) -> float:
-        v = float(batch_fn(to_unitaries(np.asarray(x)[None, :]))[0])
-        if not math.isfinite(v):
-            raise OptimizationError("entropy objective became non-finite")
-        return v
-
-    for x0 in starts:
-        res = minimize(single, x0, method="Nelder-Mead", bounds=bounds,
-                       options=dict(xatol=cfg.refine_tol, fatol=1e-13,
-                                    maxfev=cfg.refine_maxfev))
-        if math.isfinite(res.fun) and res.fun < best_val:
-            best_val, best_x = float(res.fun), np.asarray(res.x)
-
-    if cfg.parameterization != "full" and gs == 1:
-        p = best_x.reshape(1, 1, 3)
-        for cand in _canonical_candidates(p):
-            v = float(batch_fn(to_unitaries(cand.reshape(1, 3)))[0])
-            if abs(v - best_val) <= 1e-12:
-                best_x = cand.reshape(-1)
-                break
-    return best_val, shape_back(best_x)
-
-
-def _params_tuple(raw, cfg: OptConfig):
-    if cfg.parameterization == "full":
-        return (np.asarray(raw),)
-    return tuple(EncodingUnitaryParams(float(a), float(t1), float(t2))
-                 for a, t1, t2 in np.asarray(raw).reshape(-1, 3))
-
-
-def _check_group_size(gs: int, cfg: OptConfig):
-    if gs > 1 and cfg.parameterization == "single":
-        raise ValueError(
-            "sender group has more than one qubit; pass an OptConfig with "
-            "parameterization='product' or 'full'")
+def _side_minimum(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
+                  side: int, cfg: OptConfig, reduced: bool):
+    """(min entropy, minimizer, SearchDiagnostics or None) for one side."""
+    group = layout.group_indices(side)
+    if not group:
+        return _side_entropy(rho, layout, side), (), None
+    if len(group) > 1 and cfg.parameterization == "single":
+        raise ValueError("sender group has more than one qubit; pass an OptConfig "
+                         "with parameterization='product'")
+    t0 = time.perf_counter()
+    objective = _EntropyObjective(_side_images(rho, spec, layout, side, reduced),
+                                  len(group))
+    res = minimize(objective, _start_rotations(cfg.starts, len(group)), cfg)
+    diag = SearchDiagnostics(
+        starts=cfg.starts, steps=res.steps, evaluations=res.nfev,
+        start_value=res.start_fun, final_value=res.fun, grad_norm=res.grad_norm,
+        converged=res.converged, elapsed_s=time.perf_counter() - t0)
+    return res.fun, tuple(_params_from_rotation(rq) for rq in res.x), diag
 
 
 def min_output_entropy(state, spec: ch.ChannelSpec, side: int,
@@ -582,34 +574,28 @@ def min_output_entropy(state, spec: ch.ChannelSpec, side: int,
         (entropy_bits, minimizer): minimizer is one EncodingUnitaryParams per
         qubit of the side's sender group.
     """
-    cfg = cfg or DEFAULT_OPT
     layout = state.layout.require_protocol()
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
+    val, params, _ = _side_minimum(as_density_matrix(state), spec, layout, side,
+                                   cfg or DEFAULT_OPT, reduced=False)
+    return val, params
+
+
+def _noisy_bound(state, spec: ch.ChannelSpec, cfg: OptConfig,
+                 reduced: bool) -> BoundReport:
+    layout = state.layout.require_protocol()
     rho = as_density_matrix(state)
-    group = layout.group_indices(side)
-    if not group:
-        keep = list(layout.side_indices(side))
-        marg = partial_trace_matrix(rho, keep, layout.n_qubits)
-        return von_neumann_entropy(marg), ()
-    _check_group_size(len(group), cfg)
-    batch_fn, gs = _objective_full_route(rho, spec, layout, side)
-    val, raw = _minimize_entropy(batch_fn, gs, cfg)
-    return val, _params_tuple(raw, cfg)
+    s_r1, s_r2 = _receiver_entropies(rho, layout)
+    sides = [_side_minimum(rho, spec, layout, side, cfg, reduced) for side in (1, 2)]
+    return _assemble_report(layout, s_r1, s_r2, sides, cfg.parameterization)
 
 
 def noisy_locc_bound(state, spec: ch.ChannelSpec,
                      cfg: OptConfig | None = None) -> BoundReport:
     """Upper bound on the LOCC dense-coding capacity under a noisy channel:
     log d_S + S(rho^{R1}) + S(rho^{R2}) - max_x S(zeta^x)."""
-    cfg = cfg or DEFAULT_OPT
-    layout = state.layout.require_protocol()
-    rho = as_density_matrix(state)
-    s_r1, s_r2 = _receiver_entropies(rho, layout)
-    s1, m1 = min_output_entropy(state, spec, 1, cfg)
-    s2, m2 = min_output_entropy(state, spec, 2, cfg)
-    return _assemble_report(layout, s_r1, s_r2, s1, s2, m1, m2,
-                            cfg.parameterization)
+    return _noisy_bound(state, spec, cfg or DEFAULT_OPT, reduced=False)
 
 
 COVARIANCE_GATE = 1e-8
@@ -624,28 +610,11 @@ def covariant_chi(state, spec: ch.ChannelSpec,
     is minimized over that side's fixed unitary alone, on the reduced side
     state with the channel's marginal Kraus operators.
     """
-    cfg = cfg or DEFAULT_OPT
     layout = state.layout.require_protocol()
     dev = ch.check_covariance(spec, layout=layout)
     if dev >= COVARIANCE_GATE:
         raise ValueError(f"channel is not covariant: max deviation {dev:.3e}")
-    rho = as_density_matrix(state)
-    s_r1, s_r2 = _receiver_entropies(rho, layout)
-    sides = []
-    for side in (1, 2):
-        group = layout.group_indices(side)
-        if not group:
-            keep = list(layout.side_indices(side))
-            marg = partial_trace_matrix(rho, keep, layout.n_qubits)
-            sides.append((von_neumann_entropy(marg), ()))
-            continue
-        _check_group_size(len(group), cfg)
-        batch_fn, gs = _objective_reduced_route(rho, spec, layout, side)
-        val, raw = _minimize_entropy(batch_fn, gs, cfg)
-        sides.append((val, _params_tuple(raw, cfg)))
-    (s1, m1), (s2, m2) = sides
-    return _assemble_report(layout, s_r1, s_r2, s1, s2, m1, m2,
-                            cfg.parameterization)
+    return _noisy_bound(state, spec, cfg or DEFAULT_OPT, reduced=True)
 
 
 # ---------------------------------------------------------------------------

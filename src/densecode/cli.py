@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (CAMPAIGN_OPT, DEFAULT_OPT, BoundReport, OptConfig,
-                       OptimizationError, closed_form_ghz_bound, covariant_chi,
+from .capacity import (DEFAULT_OPT, BoundReport, OptConfig, OptimizationError,
+                       SearchDiagnostics, closed_form_ghz_bound, covariant_chi,
                        global_capacity, locc_bound_noiseless, noisy_locc_bound)
 from .channels import ChannelSpec, PAULI, parse_channel
 from .ggm import ggm, theorem2_conditions
@@ -72,7 +72,7 @@ class GghzLine:
     bound_grid: np.ndarray | None = None
 
     @classmethod
-    def build(cls, spec: ChannelSpec, opt: OptConfig = CAMPAIGN_OPT,
+    def build(cls, spec: ChannelSpec, opt: OptConfig = DEFAULT_OPT,
               points: int = LINE_POINTS) -> "GghzLine":
         if spec.is_identity:
             return cls(noiseless=True)
@@ -121,7 +121,7 @@ def _haar_chunk(task) -> list[list[str]]:
         st = haar_random_pure(4, RngSeed(seed, sid), layout)
         value, scan = ggm(st)
         flags = theorem2_conditions(st)
-        rep = _bound_for(st, spec, CAMPAIGN_OPT)
+        rep = _bound_for(st, spec, DEFAULT_OPT)
         above = line.above(value, rep.bound_bits)
         rows.append([str(sid), _fmt(value), _fmt(rep.bound_bits),
                      str(int(flags.cond_i)), str(int(flags.cond_ii)),
@@ -178,11 +178,15 @@ def run_haar(n_samples: int, seed: int, channel: str, out_path: str,
              jobs: int = 1) -> HaarSummary:
     spec = parse_channel(channel)
     line = GghzLine.build(spec)
-    chunk = max(64, math.ceil(n_samples / max(jobs, 1) / 8))
+    workers = max(min(jobs, n_samples), 1)
+    chunk = max(64, math.ceil(n_samples / workers / 8))
+    if workers > 1:
+        # every worker gets at least one chunk; one worker runs in this process
+        chunk = min(chunk, math.ceil(n_samples / workers))
     tasks = [(lo, min(lo + chunk, n_samples), seed, channel, line)
              for lo in range(0, n_samples, chunk)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(_haar_chunk, tasks))
     else:
         parts = [_haar_chunk(t) for t in tasks]
@@ -209,7 +213,7 @@ def run_gghz_curve(points: int, channel: str, out_path: str) -> None:
         writer.writerow(["m", "ggm", "bound_bits"])
         for m in np.linspace(0.5, 1.0, points):
             st = make_gghz(GghzParams(p=float(m)), layout)
-            rep = _bound_for(st, spec, CAMPAIGN_OPT)
+            rep = _bound_for(st, spec, DEFAULT_OPT)
             writer.writerow([_fmt(m), _fmt(1.0 - m), _fmt(rep.bound_bits)])
 
 
@@ -296,9 +300,20 @@ def run_bound(state_arg: str, channel: str, write=print) -> BoundReport:
         desc = "; ".join(f"a={_fmt(p.a)} theta1={_fmt(p.theta1)} "
                          f"theta2={_fmt(p.theta2)}" for p in mins)
         write(f"minimizer_side{side}: {desc}")
+    for side, diag in enumerate(rep.diagnostics, start=1):
+        print(f"search_side{side}: {_describe_search(diag)}", file=sys.stderr)
     value, scan = ggm(state)
     write(f"ggm: {_fmt(value)} (argmax_cut={scan.argmax_label})")
     return rep
+
+
+def _describe_search(diag: SearchDiagnostics | None) -> str:
+    if diag is None:
+        return "none (exact)"
+    return (f"starts={diag.starts} steps={diag.steps} "
+            f"evaluations={diag.evaluations} start_value={_fmt(diag.start_value)} "
+            f"final_value={_fmt(diag.final_value)} grad_norm={diag.grad_norm:.3g} "
+            f"converged={int(diag.converged)} elapsed_s={diag.elapsed_s:.4f}")
 
 
 def run_ggm(state_arg: str, write=print) -> float:
@@ -335,8 +350,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "haar" and self.n_samples < 1:
             raise ValueError("haar mode needs n >= 1")
-        if self.mode == "gghz-curve" and (self.points or 2) < 2:
+        if self.mode == "gghz-curve" and self.points is not None and self.points < 2:
             raise ValueError("gghz-curve needs at least 2 points")
+        if self.mode == "channel-scan" and self.points is not None and self.points < 1:
+            raise ValueError("channel-scan needs at least 1 point")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if not 0 <= self.seed < 1 << 64:
@@ -441,7 +458,7 @@ def main(argv=None) -> int:
             print(f"csv: {out}")
         elif cfg.mode == "gghz-curve":
             out = cfg.out or "gghz_curve.csv"
-            run_gghz_curve(cfg.points or 201, cfg.channel, out)
+            run_gghz_curve(201 if cfg.points is None else cfg.points, cfg.channel, out)
             print(f"csv: {out}")
         elif cfg.mode == "channel-scan":
             out = cfg.out or "channel_scan.csv"

@@ -244,7 +244,8 @@ def as_density_matrix(obj) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def partial_trace_matrix(mat: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
-    """Partial trace of a 2^n x 2^n matrix onto the qubits in ``keep``.
+    """Partial trace of a 2^n x 2^n matrix, or of a stack of them along
+    leading axes, onto the qubits in ``keep``.
 
     ``keep`` is interpreted in ascending qubit order regardless of the order
     given.
@@ -253,9 +254,11 @@ def partial_trace_matrix(mat: np.ndarray, keep: Sequence[int], n: int) -> np.nda
     ket = list(range(n))
     bra = [q + n if q in keep else q for q in range(n)]
     out = [q for q in keep] + [q + n for q in keep]
-    t = np.asarray(mat, dtype=complex).reshape([2] * (2 * n))
+    t = np.asarray(mat, dtype=complex)
+    batch = t.shape[:-2]
+    t = t.reshape(batch + (2,) * (2 * n))
     d = 1 << len(keep)
-    return np.einsum(t, ket + bra, out).reshape(d, d)
+    return np.einsum(t, [...] + ket + bra, [...] + out).reshape(batch + (d, d))
 
 
 def partial_trace(rho: DensityOp, keep: Iterable[int]) -> DensityOp:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from densecode import capacity as cap
 from densecode.capacity import (CAMPAIGN_OPT, EncodingUnitaryParams, Ensemble,
                                 OptConfig, closed_form_ghz_bound,
                                 covariant_chi, ensemble_chi,
@@ -43,6 +42,10 @@ def zeta_numeric(state, spec, side, params: EncodingUnitaryParams) -> np.ndarray
         encoded = apply_local_unitary(encoded, [q], params.matrix())
     noisy = apply_channel(encoded.density(), spec)
     return partial_trace(noisy, state.layout.side_indices(side)).matrix
+
+
+def entropy_numeric(state, spec, side, params: EncodingUnitaryParams) -> float:
+    return von_neumann_entropy(zeta_numeric(state, spec, side, params))
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +164,11 @@ def test_min_entropy_theta_flat_for_damping_channels():
     # eigenvalues of zeta^1 are theta-independent for the damping families
     for spec in (ChannelSpec.amplitude_damping(0.35, 0.35),
                  ChannelSpec.phase_damping(0.6, 0.6)):
-        batch_fn, _ = cap._objective_full_route(
-            np.outer(GHZ.amplitudes, GHZ.amplitudes.conj()), spec, LAYOUT, 1)
         for a in (0.2, 0.6, 0.9):
-            grid = [[a, t1, t2] for t1 in np.linspace(0, math.pi / 2, 7)
-                    for t2 in np.linspace(0, math.pi / 2, 7)]
-            vals = batch_fn(cap._group_unitaries(np.array(grid)[:, None, :]))
+            grid = [EncodingUnitaryParams(a, t1, t2)
+                    for t1 in np.linspace(0, 2 * math.pi, 7, endpoint=False)
+                    for t2 in np.linspace(0, 2 * math.pi, 7, endpoint=False)]
+            vals = np.array([entropy_numeric(GHZ, spec, 1, p) for p in grid])
             assert vals.max() - vals.min() < 1e-10
 
 
@@ -182,17 +184,16 @@ def test_min_entropy_symmetric_channel_sides_agree():
 
 def test_min_entropy_soundness_probes():
     # the reported minimum is never above the objective at 10^3 quasi-random
-    # parameter probes
+    # parameter probes over all of SU(2)
     from scipy.stats import qmc
     sobol = qmc.Sobol(d=3, scramble=True, seed=np.random.default_rng(33))
-    probes = sobol.random_base2(10) * np.array([1.0, math.pi / 2, math.pi / 2])
+    probes = sobol.random_base2(10) * np.array([1.0, 2 * math.pi, 2 * math.pi])
     spec = ChannelSpec.pauli_correlated([0.7, 0.12, 0.1, 0.08])
     for sid in range(3):
         st = haar_random_pure(4, RngSeed(700, sid), LAYOUT)
-        rho = np.outer(st.amplitudes, st.amplitudes.conj())
-        batch_fn, _ = cap._objective_full_route(rho, spec, LAYOUT, 1)
         val, _ = min_output_entropy(st, spec, 1, QUICK)
-        vals = batch_fn(cap._group_unitaries(probes[:, None, :]))
+        vals = np.array([entropy_numeric(st, spec, 1, EncodingUnitaryParams(*p))
+                         for p in probes])
         assert val <= vals.min() + 1e-9
 
 
@@ -204,20 +205,13 @@ def test_min_entropy_rejects_multi_qubit_group_without_config():
 
 def test_min_entropy_product_parameterization_identity():
     ghz6 = make_ghz(6, RegisterLayout.split(4))
-    cfg = OptConfig(parameterization="product", n_probes=128)
+    cfg = OptConfig(parameterization="product", starts=4)
     val, mins = min_output_entropy(ghz6, ChannelSpec.identity(), 1, cfg)
     keep = list(ghz6.layout.side_indices(1))
     want = von_neumann_entropy(partial_trace_matrix(
         np.outer(ghz6.amplitudes, ghz6.amplitudes.conj()), keep, 6))
     assert abs(val - want) < 1e-9
     assert len(mins) == 2
-
-
-def test_min_entropy_full_parameterization_matches():
-    spec = ChannelSpec.amplitude_damping(0.5, 0.5)
-    cfg = OptConfig(parameterization="full", n_probes=1024)
-    val, _ = min_output_entropy(GHZ, spec, 1, cfg)
-    assert abs(val - ad_closed_form_entropy(0.5)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +276,9 @@ def test_covariant_chi_equals_noisy_bound():
 
 
 def test_identity_channel_equals_noiseless_on_random_states():
-    # the objective is exactly flat without noise, so any grid is exact;
-    # a tiny grid keeps 100 instances fast
-    flat = OptConfig(a_step=0.5, theta_step=math.pi / 4, refine_starts=1,
-                     refine_tol=1e-6)
+    # the objective is exactly flat without noise, so one start is exact
+    # and keeps 100 instances fast
+    flat = OptConfig(starts=1)
     for sid in range(100):
         st = haar_random_pure(4, RngSeed(900, sid), LAYOUT)
         noisy = noisy_locc_bound(st, ChannelSpec.identity(), flat)
@@ -327,8 +320,7 @@ def test_general_pauli_full_route():
 
 
 def test_campaign_config_matches_default_grid():
-    # the coarse campaign grid plus refinement reaches the default-grid
-    # minimum on generic states
+    # the campaign settings reach the default minimum on generic states
     spec = ChannelSpec.pauli_correlated([0.485, 0.015, 0.015, 0.485])
     for sid in range(8):
         st = haar_random_pure(4, RngSeed(1100, sid), LAYOUT)
@@ -462,3 +454,33 @@ def test_encoding_params_validation():
         EncodingUnitaryParams(0.5, -0.2, 0)
     u = EncodingUnitaryParams(0.6, 0.3, 0.9).matrix()
     assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
+
+
+def test_opt_config_rejects_non_positive_settings():
+    for bad in (dict(starts=0), dict(max_steps=0), dict(grad_tol=0.0),
+                dict(grad_tol=-1e-9), dict(parameterization="full")):
+        with pytest.raises(ValueError):
+            OptConfig(**bad)
+
+
+def test_bound_report_search_diagnostics():
+    st = haar_random_pure(4, RngSeed(99, 1), LAYOUT)
+    rep = noisy_locc_bound(st, ChannelSpec.amplitude_damping(0.6, 0.3))
+    for value, diag in zip((rep.entropy_side1, rep.entropy_side2), rep.diagnostics):
+        assert diag.starts == 16
+        assert diag.final_value == value <= diag.start_value
+        assert diag.evaluations == diag.starts * (diag.steps + 1)
+        assert diag.converged and diag.grad_norm <= 1e-7
+        assert diag.elapsed_s > 0.0
+    assert locc_bound_noiseless(st).diagnostics == (None, None)
+
+
+def test_encoding_params_cover_su2():
+    # theta1 and theta2 range over [0, 2 pi), so every SU(2) element has
+    # parameters; 2 pi itself is the same point as 0
+    u = EncodingUnitaryParams(0.3, 5.9, 4.0).matrix()
+    assert abs(np.linalg.det(u) - 1.0) < 1e-12
+    with pytest.raises(ValueError):
+        EncodingUnitaryParams(0.5, 2 * math.pi, 0.0)
+    with pytest.raises(ValueError):
+        EncodingUnitaryParams(1.0 + 1e-12, 0.0, 0.0)

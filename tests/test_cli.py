@@ -202,3 +202,47 @@ def test_config_file_defaults_and_override(tmp_path):
     assert main(["haar", "--config", str(cfg), "--seed", "14",
                  "--out", str(out3)]) == 0
     assert out1.read_bytes() != out3.read_bytes()
+
+
+def test_points_below_minimum_rejected(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert main(["gghz-curve", "--points", "0", "--out", str(out)]) == 2
+    assert main(["gghz-curve", "--points", "1", "--out", str(out)]) == 2
+    assert main(["channel-scan", "--family", "pd", "--points", "0",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count("densecode: error:") == 3
+
+
+def test_haar_small_parallel_run_uses_every_worker(tmp_path, monkeypatch):
+    pools = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.workers = max_workers
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            pools.append((self.workers, len(tasks)))
+            return super().map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    serial, par = tmp_path / "serial.csv", tmp_path / "par.csv"
+    run_haar(64, 5, "none", str(serial), jobs=1)
+    run_haar(64, 5, "none", str(par), jobs=2)
+    assert serial.read_bytes() == par.read_bytes()
+    assert pools == [(2, 2)]
+    run_haar(1, 5, "none", str(par), jobs=2)     # one chunk runs serially
+    assert pools == [(2, 2)]
+
+
+def test_bound_mode_search_diagnostics_on_stderr(capsys):
+    assert main(["bound", "--state", "ghz", "--channel", "ad:0.5,0.5"]) == 0
+    captured = capsys.readouterr()
+    lines = [x for x in captured.err.splitlines() if x.startswith("search_side")]
+    assert [x.split(":")[0] for x in lines] == ["search_side1", "search_side2"]
+    assert all("converged=1" in x and "starts=16" in x for x in lines)
+    assert "search_side" not in captured.out
+    assert main(["bound", "--state", "ghz"]) == 0
+    assert capsys.readouterr().err.count("none (exact)") == 2
