@@ -38,7 +38,8 @@ from typing import Callable
 import numpy as np
 
 from . import channels as ch
-from .qcore import (DensityOp, RegisterLayout, as_density_matrix,
+from .ggm import CutSpectra
+from .qcore import (DensityOp, PureState, RegisterLayout, as_density_matrix,
                     binary_entropy, partial_trace_matrix,
                     von_neumann_entropy)
 
@@ -230,13 +231,8 @@ def pauli_encoded_ensemble(state, spec: ch.ChannelSpec | None = None) -> Ensembl
     return Ensemble(tuple(members))
 
 
-def _receiver_entropies(rho: np.ndarray, layout: RegisterLayout) -> tuple[float, float]:
-    n = layout.n_qubits
-    s1 = von_neumann_entropy(partial_trace_matrix(rho, [layout.receiver_index(1)], n))
-    s2 = von_neumann_entropy(partial_trace_matrix(rho, [layout.receiver_index(2)], n))
-    return s1, s2
-
-
+def _marginal_entropy(rho: np.ndarray, layout: RegisterLayout, keep) -> float:
+    return von_neumann_entropy(partial_trace_matrix(rho, list(keep), layout.n_qubits))
 
 
 def _assemble_report(layout, s_r1, s_r2, sides, parameterization) -> BoundReport:
@@ -253,22 +249,31 @@ def _assemble_report(layout, s_r1, s_r2, sides, parameterization) -> BoundReport
         parameterization=parameterization, diagnostics=(d1, d2))
 
 
-def locc_bound_noiseless(state, layout: RegisterLayout | None = None) -> BoundReport:
-    """Noiseless LOCC bound: log d_S + S(rho^{R1}) + S(rho^{R2}) -
-    max_x S(rho^x). Evaluated exactly; unitary encodings do not change the
+def locc_bound_noiseless(state: PureState,
+                         layout: RegisterLayout | None = None) -> BoundReport:
+    """Noiseless LOCC bound of a pure state: log d_S + S(rho^{R1}) +
+    S(rho^{R2}) - max_x S(rho^x), exact; unitary encodings do not change the
     side entropies without noise, so the minimizer is the identity."""
     layout = (layout or state.layout).require_protocol()
-    rho = as_density_matrix(state)
-    s_r1, s_r2 = _receiver_entropies(rho, layout)
-    sides = [(_side_entropy(rho, layout, side),
-              tuple(IDENTITY_ENCODING for _ in layout.group_indices(side)), None)
-             for side in (1, 2)]
+    s_r1, s_r2, *sides = (float(s[0]) for s in _noiseless_entropies(
+        CutSpectra.of(state.amplitudes, layout)))
+    sides = [(s, tuple(IDENTITY_ENCODING for _ in layout.group_indices(side)), None)
+             for side, s in zip((1, 2), sides)]
     return _assemble_report(layout, s_r1, s_r2, sides, "single")
 
 
-def _side_entropy(rho: np.ndarray, layout: RegisterLayout, side: int) -> float:
-    marg = partial_trace_matrix(rho, list(layout.side_indices(side)), layout.n_qubits)
-    return von_neumann_entropy(marg)
+def noiseless_bounds(spectra: CutSpectra) -> np.ndarray:
+    """(B,) noiseless LOCC bound of every row of a block of pure states, each
+    equal bit for bit to ``locc_bound_noiseless`` of that state."""
+    s_r1, s_r2, s1, s2 = _noiseless_entropies(spectra)
+    return spectra.layout.n_senders + s_r1 + s_r2 - np.maximum(s1, s2)
+
+
+def _noiseless_entropies(spectra: CutSpectra) -> list[np.ndarray]:
+    """S(R1), S(R2) and the two side entropies, each (B,)."""
+    layout = spectra.layout.require_protocol()
+    return ([spectra.entropy([layout.receiver_index(x)]) for x in (1, 2)]
+            + [spectra.entropy(layout.side_indices(x)) for x in (1, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +553,7 @@ def _side_minimum(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
     """(min entropy, minimizer, SearchDiagnostics or None) for one side."""
     group = layout.group_indices(side)
     if not group:
-        return _side_entropy(rho, layout, side), (), None
+        return _marginal_entropy(rho, layout, layout.side_indices(side)), (), None
     if len(group) > 1 and cfg.parameterization == "single":
         raise ValueError("sender group has more than one qubit; pass an OptConfig "
                          "with parameterization='product'")
@@ -586,7 +591,8 @@ def _noisy_bound(state, spec: ch.ChannelSpec, cfg: OptConfig,
                  reduced: bool) -> BoundReport:
     layout = state.layout.require_protocol()
     rho = as_density_matrix(state)
-    s_r1, s_r2 = _receiver_entropies(rho, layout)
+    s_r1, s_r2 = (_marginal_entropy(rho, layout, [layout.receiver_index(x)])
+                  for x in (1, 2))
     sides = [_side_minimum(rho, spec, layout, side, cfg, reduced) for side in (1, 2)]
     return _assemble_report(layout, s_r1, s_r2, sides, cfg.parameterization)
 

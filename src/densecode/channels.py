@@ -15,8 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .qcore import (DensityOp, RegisterLayout, conjugate_on, dag,
-                    partial_trace_matrix, tensor)
+from .qcore import DensityOp, RegisterLayout, conjugate_on, dag, tensor
 
 COMPLETENESS_ATOL = 1e-10
 
@@ -371,21 +370,3 @@ def twirl(rho: DensityOp, targets=None) -> DensityOp:
         acc = term if acc is None else acc + term
     return DensityOp(acc / len(basis), layout)
 
-
-def twirl_expected_matrix(rho: DensityOp, targets) -> np.ndarray:
-    """Reference value I/d_targets (x) rho_rest for the twirl, assembled by
-    an index-wise route independent of the Pauli average."""
-    targets = sorted(targets)
-    n = rho.n_qubits
-    rest = [q for q in range(n) if q not in targets]
-    if rest:
-        rest_mat = partial_trace_matrix(rho.matrix, rest, n)
-    else:
-        rest_mat = np.ones((1, 1), dtype=complex)
-    k = len(targets)
-    full = tensor(np.eye(1 << k, dtype=complex) / (1 << k), rest_mat)
-    perm = targets + rest
-    inv = np.argsort(perm)
-    t = full.reshape([2] * (2 * n))
-    t = t.transpose(list(inv) + [i + n for i in inv])
-    return t.reshape(rho.dim, rho.dim)

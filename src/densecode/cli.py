@@ -14,7 +14,9 @@ Modes
 
 CSV columns are documented per mode in the functions below; floats are
 printed with 12 significant digits. Campaign RNG streams are keyed by
-(seed, state_id), so serial and parallel runs emit identical files.
+(seed, state_id), so serial and parallel runs emit identical files. A
+campaign chunk reads the GGM, the flags and the noiseless bound of its whole
+block of states off one batched ``CutSpectra`` kernel.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ import numpy as np
 
 from .capacity import (DEFAULT_OPT, BoundReport, OptConfig, OptimizationError,
                        SearchDiagnostics, closed_form_ghz_bound, covariant_chi,
-                       global_capacity, locc_bound_noiseless, noisy_locc_bound)
+                       global_capacity, locc_bound_noiseless, noisy_locc_bound,
+                       noiseless_bounds)
 from .channels import ChannelSpec, PAULI, parse_channel
-from .ggm import ggm, theorem2_conditions
-from .qcore import RegisterLayout, binary_entropy
-from .states import (GghzParams, RngSeed, StateFormatError, haar_random_pure,
+from .ggm import CutSpectra, ggm, theorem2_flags
+from .qcore import PureState, RegisterLayout, binary_entropy
+from .states import (GghzParams, RngSeed, StateFormatError, haar_amplitudes,
                      load_state, make_gghz, make_ghz)
 
 EXIT_OK = 0
@@ -116,18 +119,20 @@ def _haar_chunk(task) -> list[list[str]]:
     lo, hi, seed, channel_str, line = task
     spec = parse_channel(channel_str)
     layout = _layout4()
-    rows = []
-    for sid in range(lo, hi):
-        st = haar_random_pure(4, RngSeed(seed, sid), layout)
-        value, scan = ggm(st)
-        flags = theorem2_conditions(st)
-        rep = _bound_for(st, spec, DEFAULT_OPT)
-        above = line.above(value, rep.bound_bits)
-        rows.append([str(sid), _fmt(value), _fmt(rep.bound_bits),
-                     str(int(flags.cond_i)), str(int(flags.cond_ii)),
-                     str(int(flags.swapped_i)), str(int(flags.swapped_ii)),
-                     str(int(above)), scan.argmax_label])
-    return rows
+    amps = haar_amplitudes(4, [RngSeed(seed, sid) for sid in range(lo, hi)])
+    spectra = CutSpectra.of(amps, layout)
+    values, best = spectra.ggm()
+    labels = spectra.labels
+    flags = theorem2_flags(spectra).astype(int)
+    if spec.is_identity:
+        bounds = noiseless_bounds(spectra)
+    else:
+        bounds = [_bound_for(PureState(a, layout), spec, DEFAULT_OPT).bound_bits
+                  for a in amps]
+    return [[str(sid), _fmt(value), _fmt(bound)] + [str(f) for f in row_flags]
+            + [str(int(line.above(float(value), float(bound)))), labels[cut]]
+            for sid, value, bound, row_flags, cut
+            in zip(range(lo, hi), values, bounds, flags, best)]
 
 
 @dataclass
@@ -331,9 +336,13 @@ def run_ggm(state_arg: str, write=print) -> float:
 # argument handling
 # ---------------------------------------------------------------------------
 
+GGHZ_CURVE_POINTS = 201
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved settings for one CLI invocation."""
+    """Resolved settings for one CLI invocation; its field defaults are the
+    CLI's defaults (``points`` None: the mode's own)."""
 
     mode: str
     n_samples: int = 50000
@@ -348,9 +357,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("haar", "gghz-curve", "channel-scan", "bound", "ggm"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "gghz-curve" and self.points is None:
+            object.__setattr__(self, "points", GGHZ_CURVE_POINTS)
         if self.mode == "haar" and self.n_samples < 1:
             raise ValueError("haar mode needs n >= 1")
-        if self.mode == "gghz-curve" and self.points is not None and self.points < 2:
+        if self.mode == "gghz-curve" and self.points < 2:
             raise ValueError("gghz-curve needs at least 2 points")
         if self.mode == "channel-scan" and self.points is not None and self.points < 1:
             raise ValueError("channel-scan needs at least 1 point")
@@ -384,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="key=value defaults file")
         sp.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default 42)")
+                        help=f"RNG seed (default {ExperimentConfig.seed})")
         sp.add_argument("--channel", default=None,
                         help="none | ad:g1,g2 | pd:p1,p2 | pauli:q0,q1,q2,q3 "
                              "| pauli-gen:<16 values>")
@@ -393,13 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("haar", help="Monte Carlo campaign over Haar states")
     common(sp)
     sp.add_argument("--n", type=int, default=None,
-                    help="number of samples (default 50000)")
+                    help=f"number of samples (default {ExperimentConfig.n_samples})")
     sp.add_argument("--jobs", type=int, default=None, help="worker processes")
 
     sp = sub.add_parser("gghz-curve", help="two-term reference curve")
     common(sp)
     sp.add_argument("--points", type=int, default=None,
-                    help="sweep points (default 201)")
+                    help=f"sweep points (default {GGHZ_CURVE_POINTS})")
 
     sp = sub.add_parser("channel-scan", help="GHZ bound vs closed form")
     common(sp)
@@ -418,17 +429,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_DEFAULTS = {"seed": 42, "channel": "none", "n": 50000, "jobs": 1,
-             "points": None, "state": "ghz", "out": None, "family": "ad"}
+# CLI option -> (ExperimentConfig field, parser of a config-file value)
+_OPTIONS = {"n": ("n_samples", int), "seed": ("seed", int), "channel": ("channel", str),
+            "out": ("out", str), "points": ("points", int), "jobs": ("jobs", int),
+            "state": ("state", str), "family": ("family", str)}
 
 
-def _resolve(args: argparse.Namespace, key: str, config: dict, cast):
-    val = getattr(args, key, None)
-    if val is None and key in config:
-        val = cast(config[key])
-    if val is None:
-        val = _DEFAULTS[key]
-    return val
+def _resolve(args: argparse.Namespace, config: dict) -> dict:
+    """The options set on the command line, else in the config file."""
+    out = {}
+    for key, (field, cast) in _OPTIONS.items():
+        val = getattr(args, key, None)
+        if val is None and key in config:
+            val = cast(config[key])
+        if val is not None:
+            out[field] = val
+    return out
 
 
 def main(argv=None) -> int:
@@ -439,16 +455,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = _read_config(args.config) if args.config else {}
-        cfg = ExperimentConfig(
-            mode=args.mode,
-            n_samples=_resolve(args, "n", config, int),
-            seed=_resolve(args, "seed", config, int),
-            channel=_resolve(args, "channel", config, str),
-            out=_resolve(args, "out", config, str),
-            points=_resolve(args, "points", config, int),
-            jobs=_resolve(args, "jobs", config, int),
-            state=_resolve(args, "state", config, str),
-            family=_resolve(args, "family", config, str))
+        cfg = ExperimentConfig(mode=args.mode, **_resolve(args, config))
         if cfg.mode == "haar":
             out = cfg.out or "haar.csv"
             summary = run_haar(cfg.n_samples, cfg.seed, cfg.channel, out,
@@ -458,7 +465,7 @@ def main(argv=None) -> int:
             print(f"csv: {out}")
         elif cfg.mode == "gghz-curve":
             out = cfg.out or "gghz_curve.csv"
-            run_gghz_curve(201 if cfg.points is None else cfg.points, cfg.channel, out)
+            run_gghz_curve(cfg.points, cfg.channel, out)
             print(f"csv: {out}")
         elif cfg.mode == "channel-scan":
             out = cfg.out or "channel_scan.csv"

@@ -1,5 +1,7 @@
 """Generalized geometric measure and the entropy/eigenvalue condition flags
-relating it to the dense-coding bound."""
+relating it to the dense-coding bound, all read off one kernel,
+:class:`CutSpectra`, which computes each cut's marginal spectrum once for a
+whole block of pure states; a one-state call gives its row's bits."""
 
 from __future__ import annotations
 
@@ -7,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (PureState, RegisterLayout, binary_entropy,
-                    partial_trace_matrix, von_neumann_entropy)
+from .qcore import PureState, RegisterLayout, binary_entropy, entropy_from_eigs
 
 TIE_ATOL = 1e-9
 
@@ -26,28 +27,63 @@ class BipartitionScan:
     max_lambda_sq: float
 
 
-def _bipartitions(n: int):
-    """Subsets A with 1 <= |A| <= n/2, one representative per cut
-    (for |A| = n/2 only those containing qubit 0)."""
-    cuts = []
-    for mask in range(1, 1 << n):
-        a = [q for q in range(n) if (mask >> q) & 1]
-        if len(a) > n // 2:
-            continue
-        if 2 * len(a) == n and 0 not in a:
-            continue
-        cuts.append(a)
-    cuts.sort(key=lambda a: (len(a), a))
-    return cuts
+def _bipartitions(n: int) -> list[tuple]:
+    """Subsets A with 1 <= |A| <= n/2, one representative per cut (for
+    |A| = n/2 only those containing qubit 0), by size, then qubits."""
+    subsets = (tuple(q for q in range(n) if (mask >> q) & 1) for mask in range(1, 1 << n))
+    return sorted((a for a in subsets if 2 * len(a) < n or (2 * len(a) == n and 0 in a)),
+                  key=lambda a: (len(a), a))
 
 
-def _max_schmidt_sq(amps: np.ndarray, cut, n: int) -> float:
-    # coefficient matrix of the cut: rows = A bits, cols = complement bits
-    rest = [q for q in range(n) if q not in cut]
-    t = amps.reshape([2] * n).transpose(cut + rest)
-    m = t.reshape(1 << len(cut), 1 << len(rest))
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(s[0] ** 2)
+@dataclass(frozen=True)
+class CutSpectra:
+    """Reduced-state spectra of every cut of a block of pure states.
+
+    ``spectra[j]`` is the (B, 2^|A|) array of ascending eigenvalues of the
+    marginal on the qubits A = ``cuts[j]`` (role tags ``labels[j]``), one row
+    per state; ``max_schmidt_sq`` (B, n_cuts) holds their largest values, the
+    largest squared Schmidt coefficients.
+    """
+
+    layout: RegisterLayout
+    cuts: tuple
+    labels: tuple
+    spectra: tuple
+    max_schmidt_sq: np.ndarray
+
+    @classmethod
+    def of(cls, amps: np.ndarray, layout: RegisterLayout) -> "CutSpectra":
+        """Spectra of a (B, 2^n) block of amplitudes (or of one state vector)."""
+        n = layout.n_qubits
+        t = np.asarray(amps, dtype=complex).reshape((-1,) + (2,) * n)
+        cuts = _bipartitions(n)
+        spectra = []
+        for k in sorted({len(a) for a in cuts}):
+            group = [a for a in cuts if len(a) == k]
+            # coefficient matrices: rows = cut bits, cols = complement bits
+            m = np.stack([t.transpose((0,) + tuple(1 + q for q in a)
+                                      + tuple(1 + q for q in range(n) if q not in a))
+                          .reshape(t.shape[0], 1 << k, -1) for a in group], axis=1)
+            # one batched eigensolve of the Gram matrices M M^+ per cut size
+            w = np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
+            spectra.extend(w[:, i] for i in range(len(group)))
+        labels = tuple("".join(layout.roles[q] for q in a) for a in cuts)
+        return cls(layout, tuple(cuts), labels, tuple(spectra),
+                   np.stack([w[:, -1] for w in spectra], axis=1))
+
+    def ggm(self) -> tuple[np.ndarray, np.ndarray]:
+        """(B,) GGM values and (B,) index of the first cut attaining them."""
+        lam = self.max_schmidt_sq
+        best = lam.argmax(axis=1)
+        return 1.0 - lam[np.arange(lam.shape[0]), best], best
+
+    def entropy(self, qubits) -> np.ndarray:
+        """(B,) entropy in bits of the marginal on ``qubits``; a pure state's
+        marginal has the spectrum of its complement's."""
+        keep = tuple(sorted(qubits))
+        rest = tuple(q for q in range(self.layout.n_qubits) if q not in keep)
+        return entropy_from_eigs(self.spectra[self.cuts.index(
+            keep if keep in self.cuts else rest)])
 
 
 def ggm(state: PureState):
@@ -59,21 +95,13 @@ def ggm(state: PureState):
         product, and at most 1/2 for qubit systems (every 1:(n-1) cut has a
         squared Schmidt coefficient of at least 1/2).
     """
-    n = state.n_qubits
-    if n < 2:
+    if state.n_qubits < 2:
         raise ValueError("GGM needs at least two parties")
-    entries = []
-    best = -1.0
-    best_label = ""
-    for cut in _bipartitions(n):
-        label = "".join(state.layout.roles[q] for q in cut)
-        lam2 = _max_schmidt_sq(state.amplitudes, cut, n)
-        entries.append((label, lam2))
-        if lam2 > best:
-            best, best_label = lam2, label
-    scan = BipartitionScan(entries=tuple(entries), argmax_label=best_label,
-                           max_lambda_sq=best)
-    return 1.0 - best, scan
+    spectra = CutSpectra.of(state.amplitudes, state.layout)
+    (value,), (best,) = spectra.ggm()
+    lam, labels = spectra.max_schmidt_sq[0], spectra.labels
+    return float(value), BipartitionScan(tuple(zip(labels, map(float, lam))),
+                                         labels[best], float(lam[best]))
 
 
 @dataclass(frozen=True)
@@ -101,31 +129,26 @@ class Theorem2Flags:
         return (self.cond_i and self.cond_ii) or (self.swapped_i and self.swapped_ii)
 
 
+def theorem2_flags(spectra: CutSpectra) -> np.ndarray:
+    """(B, 4) booleans cond_i, cond_ii, swapped_i, swapped_ii of every row of
+    a block on the four-party register S1, S2, R1, R2."""
+    layout = spectra.layout.require_protocol()
+    if layout.n_qubits != 4 or set(layout.roles) != {"S1", "S2", "R1", "R2"}:
+        raise ValueError("theorem2_conditions needs the S1 S2 R1 R2 register")
+    s = {tags: spectra.entropy([layout.index_of(t) for t in tags.split()])
+         for tags in ("R1", "R2", "S1 R1", "S2 R2")}
+    lam = dict(zip(spectra.labels, spectra.max_schmidt_sq.T))
+    top = spectra.max_schmidt_sq.max(axis=1) - TIE_ATOL
+    return np.stack([s["R1"] <= s["S1 R1"] + TIE_ATOL, lam["R2"] >= top,
+                     s["R2"] <= s["S2 R2"] + TIE_ATOL, lam["R1"] >= top], axis=1)
+
+
 def theorem2_conditions(state: PureState,
                         layout: RegisterLayout | None = None) -> Theorem2Flags:
     """Evaluate the ordering conditions on a four-party state with roles
     S1, S2, R1, R2."""
-    layout = (layout or state.layout).require_protocol()
-    if layout.n_qubits != 4 or set(layout.roles) != {"S1", "S2", "R1", "R2"}:
-        raise ValueError("theorem2_conditions needs the S1 S2 R1 R2 register")
-    n = 4
-    amps = state.amplitudes
-    rho = np.outer(amps, amps.conj())
-    idx = {tag: layout.index_of(tag) for tag in layout.roles}
-
-    def s_of(tags) -> float:
-        keep = sorted(idx[t] for t in tags)
-        return von_neumann_entropy(partial_trace_matrix(rho, keep, n))
-
-    _, scan = ggm(state)
-    by_label = dict(scan.entries)
-
-    cond_i = s_of(["R1"]) <= s_of(["S1", "R1"]) + TIE_ATOL
-    cond_ii = by_label["R2"] >= scan.max_lambda_sq - TIE_ATOL
-    swapped_i = s_of(["R2"]) <= s_of(["S2", "R2"]) + TIE_ATOL
-    swapped_ii = by_label["R1"] >= scan.max_lambda_sq - TIE_ATOL
-    return Theorem2Flags(cond_i=bool(cond_i), cond_ii=bool(cond_ii),
-                         swapped_i=bool(swapped_i), swapped_ii=bool(swapped_ii))
+    flags = theorem2_flags(CutSpectra.of(state.amplitudes, layout or state.layout))
+    return Theorem2Flags(*map(bool, flags[0]))
 
 
 def gghz_ggm_at_capacity(bound_bits: float) -> float:

@@ -24,7 +24,6 @@ TRACE_ATOL = 1e-10
 NEGATIVITY_ATOL = 1e-10
 NORM_ATOL = 1e-10
 UNITARITY_ATOL = 1e-10
-EIGCHECK_ATOL = 1e-8
 
 RECEIVER_TAGS = ("R1", "R2")
 
@@ -286,29 +285,17 @@ def partial_trace(rho: DensityOp, keep: Iterable[int]) -> DensityOp:
 # spectra and entropies
 # ---------------------------------------------------------------------------
 
-def eigvals_hermitian(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted descending.
+def entropy_from_eigs(w: np.ndarray):
+    """Shannon entropy (bits) of an eigenvalue/probability vector, or an
+    array of entropies for a stack of vectors along the last axis.
 
-    Backed by LAPACK (numpy.linalg.eigvalsh); rejects matrices that are not
-    Hermitian within 1e-8.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if np.abs(a - dag(a)).max() > EIGCHECK_ATOL:
-        raise ValueError("matrix is not Hermitian within 1e-8")
-    return np.linalg.eigvalsh(a)[::-1]
-
-
-def entropy_from_eigs(w: np.ndarray) -> float:
-    """Shannon entropy (bits) of an eigenvalue/probability vector.
-
-    Values in (-1e-10, 0) are clipped to 0; 0 log 0 is 0.
+    Values <= 0 contribute nothing (0 log 0 is 0, and eigenvalues within
+    rounding of 0 may come out slightly negative).
     """
     w = np.asarray(w, dtype=float)
-    w = np.where((w > -NEGATIVITY_ATOL) & (w < 0.0), 0.0, w)
-    pos = w[w > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
+    pos = w > 0.0
+    s = -np.where(pos, w * np.log2(np.where(pos, w, 1.0)), 0.0).sum(axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def von_neumann_entropy(rho) -> float:
@@ -361,23 +348,6 @@ def conjugate_on(mat: np.ndarray, op: np.ndarray, targets: Sequence[int],
     v = _apply_on_axes(v, op.conj(), [t + n for t in targets], 2 * n)
     d = 1 << n
     return v.reshape(d, d)
-
-
-def embed_operator(op: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
-    """Lift an operator on ``targets`` to the full 2^n-dimensional space."""
-    targets = list(targets)
-    k = len(targets)
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (1 << k, 1 << k):
-        raise ValueError(f"operator shape {op.shape} does not match {k} targets")
-    rest = [q for q in range(n) if q not in targets]
-    full = tensor(op, np.eye(1 << len(rest), dtype=complex))
-    perm = targets + rest
-    inv = np.argsort(perm)
-    t = full.reshape([2] * (2 * n))
-    t = t.transpose(list(inv) + [i + n for i in inv])
-    d = 1 << n
-    return t.reshape(d, d)
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:

@@ -91,12 +91,20 @@ def haar_random_pure(n: int, rng: RngSeed | np.random.Generator,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    gen = rng.generator() if isinstance(rng, RngSeed) else rng
-    d = 1 << n
-    v = gen.standard_normal(d) + 1j * gen.standard_normal(d)
-    v /= np.linalg.norm(v)
     layout = layout if layout is not None else _default_layout(n)
-    return PureState(v, layout)
+    return PureState(haar_amplitudes(n, [rng])[0], layout)
+
+
+def haar_amplitudes(n: int, rngs) -> np.ndarray:
+    """(len(rngs), 2^n) amplitudes of Haar states, row i drawn from rngs[i]
+    (an RngSeed or a Generator); the draw of :func:`haar_random_pure`."""
+    rows = []
+    for rng in rngs:
+        gen = rng.generator() if isinstance(rng, RngSeed) else rng
+        v = gen.standard_normal(1 << n) + 1j * gen.standard_normal(1 << n)
+        v /= np.linalg.norm(v)
+        rows.append(v)
+    return np.stack(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,14 @@ from densecode.capacity import (EncodingUnitaryParams,
                                 ghz_zeta_eigenvalues, locc_bound_noiseless,
                                 noisy_locc_bound)
 from densecode.channels import (ChannelSpec, apply_channel, check_covariance,
-                                kraus_for, twirl, twirl_expected_matrix)
+                                kraus_for, twirl)
 from densecode.cli import run_haar
 from densecode.ggm import ggm, gghz_ggm_at_capacity
 from densecode.qcore import (RegisterLayout, binary_entropy, dag,
                              partial_trace_matrix, von_neumann_entropy)
 from densecode.states import RngSeed, haar_random_pure, make_ghz
+
+from oracles import twirl_expected_matrix
 
 LAYOUT = RegisterLayout.split(2)
 GHZ = make_ghz(4, LAYOUT)

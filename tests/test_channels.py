@@ -5,10 +5,12 @@ from densecode.channels import (SIGMA, ChannelSpec, KrausSet, apply_channel,
                                 apply_kraus_matrix, channel_to_string,
                                 check_covariance, kraus_for, marginal_kraus,
                                 parse_channel, pauli_basis, single_qubit_kraus,
-                                twirl, twirl_expected_matrix)
+                                twirl)
 from densecode.qcore import (DensityOp, PureState, RegisterLayout, dag,
                              partial_trace_matrix, tensor)
 from densecode.states import RngSeed, haar_random_pure, make_ghz
+
+from oracles import twirl_expected_matrix
 
 LAYOUT = RegisterLayout.split(2)
 

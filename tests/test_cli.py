@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+import densecode as dc
 from densecode import cli
 from densecode.cli import (GghzLine, main, run_channel_scan, run_gghz_curve,
                            run_haar, summarize_rows)
@@ -29,14 +30,48 @@ def test_haar_csv_schema_and_determinism(tmp_path):
     float(rows[0][2])
 
 
-def test_haar_parallel_matches_serial(tmp_path):
+@pytest.mark.parametrize("n", [1, 65, 300, 301])
+def test_haar_parallel_matches_serial(tmp_path, n):
+    # chunk boundaries move with n and jobs; no byte may move with them
     out1 = tmp_path / "serial.csv"
     out2 = tmp_path / "par.csv"
-    s1 = run_haar(300, 11, "none", str(out1), jobs=1)
-    s2 = run_haar(300, 11, "none", str(out2), jobs=2)
+    s1 = run_haar(n, 11, "none", str(out1), jobs=1)
+    s2 = run_haar(n, 11, "none", str(out2), jobs=2)
     assert out1.read_bytes() == out2.read_bytes()
     assert s1.counts_strict == s2.counts_strict
     assert s1.counts_swapped == s2.counts_swapped
+
+
+def _serial_row(seed, sid, bound, line):
+    """A campaign row rebuilt one state at a time through the public API."""
+    st = dc.haar_random_pure(4, dc.RngSeed(seed, sid), dc.RegisterLayout.split(2))
+    value, scan = dc.ggm(st)
+    flags = dc.theorem2_conditions(st)
+    b = bound(st).bound_bits
+    return [str(sid), cli._fmt(value), cli._fmt(b), str(int(flags.cond_i)),
+            str(int(flags.cond_ii)), str(int(flags.swapped_i)),
+            str(int(flags.swapped_ii)), str(int(line.above(value, b))),
+            scan.argmax_label]
+
+
+@pytest.mark.parametrize("channel, n", [("none", 200),
+                                        ("pauli:0.485,0.015,0.015,0.485", 4)])
+def test_haar_rows_equal_per_state_rows(tmp_path, monkeypatch, channel, n):
+    build = vars(GghzLine)["build"]
+    lines = []
+
+    def keep(cls, *args, **kwargs):
+        lines.append(build.__func__(cls, *args, **kwargs))
+        return lines[-1]
+
+    monkeypatch.setattr(GghzLine, "build", classmethod(keep))
+    out = tmp_path / "rows.csv"
+    run_haar(n, 23, channel, str(out))
+    _, rows = read_csv(str(out))
+    spec = dc.parse_channel(channel)
+    bound = (dc.locc_bound_noiseless if spec.is_identity
+             else lambda st: dc.covariant_chi(st, spec))
+    assert rows == [_serial_row(23, sid, bound, lines[0]) for sid in range(n)]
 
 
 def test_haar_summary_recomputable(tmp_path):
@@ -246,3 +281,21 @@ def test_bound_mode_search_diagnostics_on_stderr(capsys):
     assert "search_side" not in captured.out
     assert main(["bound", "--state", "ghz"]) == 0
     assert capsys.readouterr().err.count("none (exact)") == 2
+
+
+def test_unset_options_take_the_config_defaults(tmp_path, monkeypatch, capsys):
+    calls = {}
+
+    def fake_haar(n_samples, seed, channel, out, jobs=1):
+        calls["haar"] = (n_samples, seed, channel, jobs)
+        return cli.HaarSummary(n_samples=n_samples, seed=seed, channel=channel)
+
+    def fake_curve(points, channel, out):
+        calls["gghz-curve"] = (points, channel)
+
+    monkeypatch.setattr(cli, "run_haar", fake_haar)
+    monkeypatch.setattr(cli, "run_gghz_curve", fake_curve)
+    assert main(["haar", "--out", str(tmp_path / "h.csv")]) == 0
+    assert main(["gghz-curve", "--out", str(tmp_path / "g.csv")]) == 0
+    assert calls == {"haar": (50000, 42, "none", 1), "gghz-curve": (201, "none")}
+    assert "mode=haar n=50000 seed=42 channel=none" in capsys.readouterr().out

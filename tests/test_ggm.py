@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from densecode.ggm import (above_gghz_line, ggm, gghz_ggm_at_capacity,
-                           theorem2_conditions)
+from densecode.ggm import (CutSpectra, above_gghz_line, ggm,
+                           gghz_ggm_at_capacity, theorem2_conditions,
+                           theorem2_flags)
 from densecode.capacity import locc_bound_noiseless
 from densecode.qcore import PureState, RegisterLayout, von_neumann_entropy
 from densecode.states import GghzParams, RngSeed, haar_random_pure, make_gghz, make_ghz
@@ -10,10 +11,11 @@ from densecode.states import GghzParams, RngSeed, haar_random_pure, make_gghz, m
 LAYOUT = RegisterLayout.split(2)
 
 
-def brute_force_ggm(amps: np.ndarray, n: int) -> float:
+def brute_force_cut_table(amps: np.ndarray, n: int) -> dict:
     """Independent oracle: eigendecompose every cut's reduced state directly
-    (marginals via an explicit index loop, eigenvalues instead of SVD)."""
-    best = 0.0
+    (marginals via an explicit index loop, eigenvalues instead of SVD).
+    Returns {cut qubits: largest eigenvalue}."""
+    table = {}
     for mask in range(1, 1 << n):
         cut = [q for q in range(n) if (mask >> q) & 1]
         if len(cut) > n // 2 or (2 * len(cut) == n and 0 not in cut):
@@ -33,8 +35,12 @@ def brute_force_ggm(amps: np.ndarray, n: int) -> float:
                     ia = (ia << 1) | ((i >> (n - 1 - q)) & 1)
                     ja = (ja << 1) | ((j >> (n - 1 - q)) & 1)
                 rho_a[ia, ja] += amps[i] * np.conj(amps[j])
-        best = max(best, float(np.linalg.eigvalsh(rho_a)[-1]))
-    return 1.0 - best
+        table[tuple(cut)] = float(np.linalg.eigvalsh(rho_a)[-1])
+    return table
+
+
+def brute_force_ggm(amps: np.ndarray, n: int) -> float:
+    return 1.0 - max(brute_force_cut_table(amps, n).values())
 
 
 def naive_marginal(amps, keep, n):
@@ -107,6 +113,65 @@ def test_ggm_sides_agree():
 def test_ggm_gghz_exact(p):
     value, _ = ggm(make_gghz(GghzParams(p=p), LAYOUT))
     assert abs(value - (1.0 - max(p, 1.0 - p))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the cut-spectra kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, count", [(2, 12), (3, 10), (4, 8), (5, 6), (6, 4)])
+def test_kernel_matches_brute_force_on_random_states(n, count):
+    layout = RegisterLayout.split(n - 2)
+    amps = np.stack([haar_random_pure(n, RngSeed(2600 + n, sid), layout).amplitudes
+                     for sid in range(count)])
+    spectra = CutSpectra.of(amps, layout)
+    values, best = spectra.ggm()
+    for row in range(count):
+        lam = spectra.max_schmidt_sq[row]
+        want = brute_force_cut_table(amps[row], n)
+        got = dict(zip(spectra.cuts, lam))
+        assert got.keys() == want.keys()
+        assert max(abs(got[cut] - want[cut]) for cut in want) < 1e-12
+        assert abs(values[row] - brute_force_ggm(amps[row], n)) < 1e-12
+        assert lam[best[row]] == lam.max()
+        # the one-state call is the same kernel row
+        value, scan = ggm(PureState(amps[row], layout))
+        assert value == values[row]
+        assert scan.entries == tuple(zip(spectra.labels, lam))
+        assert scan.argmax_label == spectra.labels[best[row]]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("p", [0.5, 0.2, 0.93])
+def test_kernel_ghz_and_gghz_closed_forms(n, p):
+    # every cut of sqrt(p)|0..0> + sqrt(1-p)|1..1> has the spectrum {p, 1-p}
+    layout = RegisterLayout.split(n - 2)
+    st = (make_ghz(n, layout) if p == 0.5
+          else make_gghz(GghzParams(p=p, phi=0.4), layout))
+    value, scan = ggm(st)
+    assert abs(value - (1.0 - max(p, 1.0 - p))) < 1e-12
+    assert abs(value - brute_force_ggm(st.amplitudes, n)) < 1e-12
+    for _, lam2 in scan.entries:
+        assert abs(lam2 - max(p, 1.0 - p)) < 1e-12
+    assert scan.argmax_label == layout.roles[0]
+
+
+def test_kernel_rows_do_not_depend_on_the_block():
+    amps = np.stack([haar_random_pure(4, RngSeed(2700, sid), LAYOUT).amplitudes
+                     for sid in range(150)])
+    full = CutSpectra.of(amps, LAYOUT)
+    full_flags = theorem2_flags(full)
+    for lo, hi in ((0, 1), (7, 8), (0, 64), (64, 129), (149, 150)):
+        part = CutSpectra.of(amps[lo:hi], LAYOUT)
+        for a, b in zip(full.spectra, part.spectra):
+            assert np.array_equal(a[lo:hi], b)
+        assert np.array_equal(full_flags[lo:hi], theorem2_flags(part))
+    for row in (0, 99):
+        st = PureState(amps[row], LAYOUT)
+        assert ggm(st)[0] == full.ggm()[0][row]
+        flags = theorem2_conditions(st)
+        assert [flags.cond_i, flags.cond_ii, flags.swapped_i,
+                flags.swapped_ii] == full_flags[row].tolist()
 
 
 # ---------------------------------------------------------------------------

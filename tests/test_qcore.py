@@ -5,8 +5,10 @@ import pytest
 
 from densecode.qcore import (DensityOp, PureState, RegisterLayout,
                              apply_local_unitary, binary_entropy, dag,
-                             eigvals_hermitian, partial_trace,
+                             entropy_from_eigs, partial_trace,
                              partial_trace_matrix, tensor, von_neumann_entropy)
+
+from oracles import eigvals_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -179,6 +181,19 @@ def test_entropy_direct_formula_oracle():
     expected = -(0.97 * math.log2(0.97) + 0.03 * math.log2(0.03))
     assert abs(expected - 0.194391857846) < 1e-9
     assert abs(von_neumann_entropy(np.diag([0.97, 0.03])) - expected) < 1e-12
+
+
+def test_entropy_from_eigs_stacks():
+    # a stack gives one entropy per last-axis vector, each equal to the
+    # single-vector value; zero and rounding-negative entries contribute 0
+    w = np.array([[[0.5, 0.5], [1.0, 0.0]], [[0.97, 0.03], [-1e-17, 1.0]]])
+    got = entropy_from_eigs(w)
+    assert got.shape == (2, 2)
+    for idx in np.ndindex(2, 2):
+        assert got[idx] == entropy_from_eigs(w[idx])
+    want = [[1.0, 0.0], [binary_entropy(0.97), 0.0]]
+    assert np.abs(got - want).max() < 1e-15
+    assert isinstance(entropy_from_eigs([0.25] * 4), float)
 
 
 def test_binary_entropy_values():

@@ -6,8 +6,8 @@ from scipy.stats import ks_2samp
 
 from densecode.qcore import partial_trace_matrix
 from densecode.states import (GghzParams, RngSeed, StateFormatError,
-                              haar_random_pure, load_state, make_ghz,
-                              make_gghz, save_state)
+                              haar_amplitudes, haar_random_pure, load_state,
+                              make_ghz, make_gghz, save_state)
 
 
 def test_ghz_amplitudes():
@@ -68,6 +68,21 @@ def test_haar_norm_and_determinism():
     assert abs(np.vdot(a.amplitudes, a.amplitudes).real - 1.0) < 1e-12
     assert np.array_equal(a.amplitudes, b.amplitudes)
     assert np.abs(a.amplitudes - c.amplitudes).max() > 1e-3
+
+
+def test_haar_block_rows_are_the_per_state_draws():
+    # the seed contract: row i of a block is RngSeed(seed, id_i)'s state, bit
+    # for bit, whatever else the block holds
+    ids = [3, 0, 17, 4]
+    block = haar_amplitudes(4, [RngSeed(21, sid) for sid in ids])
+    assert block.shape == (4, 16)
+    for row, sid in zip(block, ids):
+        assert np.array_equal(row, haar_random_pure(4, RngSeed(21, sid)).amplitudes)
+    gen = np.random.default_rng(5)
+    mixed = haar_amplitudes(3, [RngSeed(21, 3), gen])
+    assert np.array_equal(mixed[0], haar_amplitudes(3, [RngSeed(21, 3)])[0])
+    assert np.array_equal(
+        mixed[1], haar_random_pure(3, np.random.default_rng(5)).amplitudes)
 
 
 def test_haar_mean_marginal_purity():
