@@ -22,17 +22,22 @@ Encoding unitaries are reported per sender qubit as
          [-sqrt(1-a^2) e^{i t2},  a e^{-i t1}]]
 
 with a in [0, 1] and t1, t2 in [0, 2 pi), which covers all of SU(2). The
-search runs over the rotations R(U) in SO(3), R_ji = tr(s_j U s_i U^+)/2, in
-which the side state is linear: zeta(R) = C_0 + sum_ji R_ji C_ji, with the
-C built once per side. ``minimize`` descends on SO(3) from fixed starts,
-with the exact gradient dS/dR_ji = -tr[log2(zeta) C_ji].
+search runs over unit quaternions q = (w, x, y, z), U = w - i(x s_x + y s_y
++ z s_z), one per sender qubit. The side state is quadratic in them:
+zeta = sum_AB qt_A qt_B D_AB, qt the Kronecker product of the quaternions,
+with the D built once per side. ``minimize`` descends on the spheres S^3
+from fixed starts, both sides of a bound in one batch, with the exact
+gradient dS/dqt_A = -2 sum_B Re tr[log2(zeta) D_AB] qt_B; the parameters are
+read off q: a e^{i t1} = w - i z and sqrt(1-a^2) e^{-i t2} = -y - i x.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -40,7 +45,7 @@ import numpy as np
 from . import channels as ch
 from .ggm import CutSpectra
 from .qcore import (DensityOp, PureState, RegisterLayout, as_density_matrix,
-                    binary_entropy, partial_trace_matrix,
+                    binary_entropy, partial_trace_matrix, tensor,
                     von_neumann_entropy)
 
 
@@ -68,7 +73,9 @@ class EncodingUnitaryParams:
                 raise ValueError(f"{name} = {t} outside [0, 2 pi)")
 
     def matrix(self) -> np.ndarray:
-        return _qubit_unitaries(np.array([[self.a, self.theta1, self.theta2]]))[0]
+        b = math.sqrt(max(1.0 - self.a * self.a, 0.0))
+        e1, e2 = cmath.exp(1j * self.theta1), cmath.exp(1j * self.theta2)
+        return np.array([[self.a * e1, b / e2], [-b * e2, self.a / e1]])
 
 
 IDENTITY_ENCODING = EncodingUnitaryParams(1.0, 0.0, 0.0)
@@ -78,9 +85,9 @@ IDENTITY_ENCODING = EncodingUnitaryParams(1.0, 0.0, 0.0)
 class OptConfig:
     """Settings for the encoding-unitary entropy minimization.
 
-    ``starts`` fixed starting rotations (the identity first) descend until
-    every one has a gradient norm below ``grad_tol`` bits per radian, or for
-    at most ``max_steps`` steps. ``parameterization`` is "single" (one qubit
+    ``starts`` fixed starting encodings (the identity first) descend until
+    every one has a gradient norm below ``grad_tol`` bits per radian of
+    rotation, or for at most ``max_steps`` steps. ``parameterization`` is "single" (one qubit
     per sender group, the reference case) or "product" (an independent 2x2
     unitary per qubit of a multi-qubit group).
     """
@@ -108,11 +115,13 @@ CAMPAIGN_OPT = DEFAULT_OPT
 class SearchDiagnostics:
     """How one side's minimum entropy was found.
 
-    ``start_value`` is the lowest objective over the starting rotations and
-    ``final_value`` the reported minimum. ``grad_norm`` is the gradient norm
-    at the reported minimizer, in bits per radian, and ``converged`` says it
-    is within the tolerance. ``elapsed_s`` covers building the side's
-    objective and the descent.
+    ``start_value`` is the lowest objective over the starting encodings and
+    ``final_value`` the reported minimum. ``steps`` counts the side's own
+    descent steps and ``evaluations`` its objective values, ``starts`` per
+    step plus ``starts`` at the outset. ``grad_norm`` is the gradient norm
+    at the reported minimizer, in bits per radian of rotation, and
+    ``converged`` says it is within the tolerance. ``elapsed_s`` covers
+    building the side's objective and the descent of its batch.
     """
 
     starts: int
@@ -195,8 +204,6 @@ def global_capacity(state, layout: RegisterLayout | None = None) -> float:
 def ensemble_chi(ensemble: Ensemble, layout: RegisterLayout | None = None) -> float:
     """LOCC accessible-information bound evaluated on an explicit ensemble:
     S(xi^1) + S(xi^2) - max_x sum_i p_i S(xi^x_i)."""
-    if not ensemble.members:
-        raise ValueError("ensemble must not be empty")
     layout = (layout or ensemble.members[0][1].layout).require_protocol()
     n = layout.n_qubits
     sides = (list(layout.side_indices(1)), list(layout.side_indices(2)))
@@ -277,49 +284,14 @@ def _noiseless_entropies(spectra: CutSpectra) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# unitaries and rotations
+# encodings as unit quaternions
 # ---------------------------------------------------------------------------
 
-def _qubit_unitaries(params: np.ndarray) -> np.ndarray:
-    """(G, 3) rows (a, t1, t2) -> (G, 2, 2) unitaries."""
-    a = params[:, 0]
-    b = np.sqrt(np.clip(1.0 - a * a, 0.0, None))
-    e1 = np.exp(1j * params[:, 1])
-    e2 = np.exp(1j * params[:, 2])
-    u = np.empty((params.shape[0], 2, 2), dtype=complex)
-    u[:, 0, 0] = a * e1
-    u[:, 0, 1] = b / e2
-    u[:, 1, 0] = -b * e2
-    u[:, 1, 1] = a / e1
-    return u
-
-
-def _so3_exp(v: np.ndarray) -> np.ndarray:
-    """(..., 3) rotation vectors -> (..., 3, 3) rotations exp([v]_x)."""
-    theta = np.linalg.norm(v, axis=-1)[..., None, None]
-    k = np.zeros(v.shape + (3,))
-    k[..., 0, 1], k[..., 0, 2], k[..., 1, 2] = -v[..., 2], v[..., 1], -v[..., 0]
-    k -= np.swapaxes(k, -1, -2)
-    # sin(t)/t and (1 - cos(t))/t^2 through sinc, finite at t = 0
-    s = np.sinc(theta / math.pi)
-    c = 0.5 * np.sinc(theta / TWO_PI) ** 2
-    return np.eye(3) + s * k + c * (k @ k)
-
-
-def _params_from_rotation(r: np.ndarray) -> EncodingUnitaryParams:
-    """Encoding parameters of a unitary U with rotation ``r``:
-    U s_i U^+ = sum_j r[j, i] s_j. U = w - i(x s_x + y s_y + z s_z) is read
-    off the quaternion (w, x, y, z), taken from the largest column of
-    4 q q^T to stay accurate near every rotation."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
-    qq = np.array([
-        [1 + r00 + r11 + r22, r21 - r12, r02 - r20, r10 - r01],
-        [r21 - r12, 1 + r00 - r11 - r22, r01 + r10, r02 + r20],
-        [r02 - r20, r01 + r10, 1 - r00 + r11 - r22, r12 + r21],
-        [r10 - r01, r02 + r20, r12 + r21, 1 - r00 - r11 + r22]])
-    col = qq[:, int(np.argmax(np.diag(qq)))]
-    w, x, y, z = col / np.linalg.norm(col)
-    # U[0, 0] = a e^{i t1} = w - i z and U[0, 1] = b e^{-i t2} = -y - i x
+def _params_from_quaternion(q: np.ndarray) -> EncodingUnitaryParams:
+    """Encoding parameters of U = w - i(x s_x + y s_y + z s_z) for the unit
+    quaternion q = (w, x, y, z): U[0, 0] = a e^{i t1} = w - i z and
+    U[0, 1] = b e^{-i t2} = -y - i x."""
+    w, x, y, z = q
     # the second "% TWO_PI" maps to 0 a tiny negative angle that rounds up to 2 pi
     a = min(math.hypot(w, z), 1.0)
     theta1 = math.atan2(-z, w) % TWO_PI % TWO_PI if a > 0.0 else 0.0
@@ -327,23 +299,27 @@ def _params_from_rotation(r: np.ndarray) -> EncodingUnitaryParams:
     return EncodingUnitaryParams(a, theta1, theta2)
 
 
+# U = sum_A q_A u_A for the quaternion q of a qubit's encoding
+_QUATERNION_UNITS = (ch.SIGMA[0],) + tuple(-1j * s for s in ch.SIGMA[1:])
 _START_SEED = 20141222
 
 
-def _start_rotations(count: int, group_size: int) -> np.ndarray:
-    """(count, group_size, 3, 3) fixed starting rotations, the identity first;
-    the rest are exp of rotation vectors drawn uniformly from the ball of
-    radius pi under a fixed seed."""
+def _start_quaternions(count: int, group_size: int) -> np.ndarray:
+    """(count, group_size, 4) fixed starting quaternions, the identity first;
+    the rest are the rotations by |v| about v, q = (cos(|v|/2),
+    sin(|v|/2) v/|v|), for rotation vectors v drawn uniformly from the ball
+    of radius pi under a fixed seed."""
     gen = np.random.default_rng([_START_SEED, group_size])
     v = gen.standard_normal((count, group_size, 3))
-    radius = math.pi * gen.uniform(0.0, 1.0, (count, group_size, 1)) ** (1 / 3)
-    v *= radius / np.linalg.norm(v, axis=-1, keepdims=True)
-    v[0] = 0.0
-    return _so3_exp(v)
+    half = 0.5 * math.pi * gen.uniform(0.0, 1.0, (count, group_size, 1)) ** (1 / 3)
+    q = np.concatenate([np.cos(half), np.sin(half) * v
+                        / np.linalg.norm(v, axis=-1, keepdims=True)], axis=-1)
+    q[0] = (1.0, 0.0, 0.0, 0.0)
+    return q
 
 
 # ---------------------------------------------------------------------------
-# the objective: zeta linear in the Kronecker product of the maps 1 (+) R_q
+# the objective: zeta quadratic in the Kronecker product of the quaternions
 # ---------------------------------------------------------------------------
 
 def _make_kraus_stage(ops, targets, n: int):
@@ -354,26 +330,27 @@ def _make_kraus_stage(ops, targets, n: int):
     fwd = ([0] + [1 + q for q in rest] + [1 + n + q for q in rest]
            + [1 + q for q in targets] + [1 + n + q for q in targets])
     back = list(np.argsort(fwd))
-    sup_t = sum(np.kron(k, k.conj()) for k in ops).T
     shape = (1 << 2 * len(rest), 1 << 2 * len(targets))
-    d = 1 << n
+    ops = np.stack(ops)
+    sup_t = np.einsum("kij,klm->jmil", ops, ops.conj()).reshape(shape[1], shape[1])
 
     def stage(rhos: np.ndarray) -> np.ndarray:
         g = rhos.shape[0]
         t = rhos.reshape((g,) + (2,) * (2 * n)).transpose(fwd).reshape((g,) + shape)
         out = (t @ sup_t).reshape((g,) + (2,) * (2 * n))
-        return out.transpose(back).reshape(g, d, d)
+        return out.transpose(back).reshape(rhos.shape)
 
     return stage
 
 
-def _pauli_images(rho: np.ndarray, group, n: int, post: Callable) -> np.ndarray:
-    """The (4^k, 4^k, dk, dk) images post(P_mu (x) X_nu) / 2^k over the
-    k-qubit Pauli strings P on ``group``, with X_nu = tr_group[(P_nu (x) 1) rho].
+def _quadratic_forms(rho: np.ndarray, group, n: int, post: Callable) -> np.ndarray:
+    """The (16^k, dk, dk) matrices D of the encoded side state
+    zeta = sum_AB qt_A qt_B D_AB, qt the Kronecker product of the k per-qubit
+    quaternions on ``group``.
 
-    Since rho = sum_nu P_nu (x) X_nu / 2^k and U P_nu U^+ = sum_mu T_mu,nu P_mu
-    with T the Kronecker product of the per-qubit maps 1 (+) R_q, the encoded
-    side state is zeta = sum_mu,nu T_mu,nu images[mu, nu].
+    The group's unitary is sum_A qt_A u_A over the Kronecker products u_A of
+    the per-qubit units (1, -i s_x, -i s_y, -i s_z), so D_AB is the symmetric
+    part of post(u_A rho u_B^+).
     """
     group = list(group)
     k = len(group)
@@ -382,155 +359,153 @@ def _pauli_images(rho: np.ndarray, group, n: int, post: Callable) -> np.ndarray:
     kdim, rdim, d = 1 << k, 1 << len(rest), 1 << n
     t = rho.reshape([2] * (2 * n)).transpose(perm + [p + n for p in perm])
     t = t.reshape(kdim, rdim, kdim, rdim)
-    paulis = np.stack(ch.pauli_basis(k))
-    x = np.einsum("nab,brat->nrt", paulis, t)
-    m = np.einsum("mac,nrt->mnarct", paulis, x) / kdim
+    units = np.stack([tensor(*(_QUATERNION_UNITS[a] for a in combo))
+                      for combo in product(range(4), repeat=k)])
+    m = np.einsum("Aab,brct,Bdc->ABardt", units, t, units.conj())
     inv = list(np.argsort(perm))
     back = [0] + [1 + i for i in inv] + [1 + n + i for i in inv]
     m = m.reshape([-1] + [2] * (2 * n)).transpose(back).reshape(-1, d, d)
-    images = post(m)
-    return images.reshape((len(paulis), len(paulis)) + images.shape[1:])
+    forms = post(m)
+    forms = forms.reshape((len(units),) * 2 + forms.shape[1:])
+    return (0.5 * (forms + forms.swapaxes(0, 1))).reshape((-1,) + forms.shape[2:])
 
 
 _LOG_FLOOR = 1e-300   # eigenvalue floor inside log2 for the gradient
 
 
 class _EntropyObjective:
-    """S(zeta) and its exact gradient for batches of per-qubit rotations.
+    """S(zeta) and its exact gradient for P problems at once.
 
-    Called with (S, k, 3, 3) rotations, returns the (S,) entropies in bits
-    and the (S, k, 3, 3) Euclidean gradients dS/dR_q, from one batched
-    eigendecomposition.
+    Problem p's side state is zeta = sum_AB qt_A qt_B forms[p, A, B], qt the
+    Kronecker product of a row's k per-qubit quaternions. Called with
+    (P', S, k, 4) quaternions and the indices of their P' problems, returns
+    the (P', S) entropies in bits and the (P', S, k, 4) Euclidean gradients
+    dS/dq_j, from one batched eigendecomposition: dS/dqt = 2 G qt with
+    G_AB = -Re tr[log2(zeta) D_AB].
     """
 
-    def __init__(self, images: np.ndarray, group_size: int):
-        self.k = group_size
-        m = images.shape[0]
-        self.dk = images.shape[-1]
-        self.images = images.reshape(m * m, self.dk * self.dk)
-        self.images_h = self.images.conj().T
+    def __init__(self, forms: np.ndarray):
+        self.dk = forms.shape[-1]
+        self.forms = forms.reshape(forms.shape[:2] + (-1,))
+        self.forms_h = np.swapaxes(self.forms.conj(), 1, 2)
 
-    def __call__(self, r: np.ndarray):
-        s = r.shape[0]
-        t = np.zeros(r.shape[:2] + (4, 4))
-        t[:, :, 0, 0] = 1.0
-        t[:, :, 1:, 1:] = r
-        full = t[:, 0]
-        for q in range(1, self.k):
-            full = np.einsum("sab,scd->sacbd", full, t[:, q]).reshape(
-                s, 4 * full.shape[1], 4 * full.shape[2])
-        zeta = (full.reshape(s, -1) @ self.images).reshape(s, self.dk, self.dk)
+    def __call__(self, q: np.ndarray, problems=slice(None)):
+        p, s, k = q.shape[:3]
+        qt = q[:, :, 0]
+        for j in range(1, k):
+            qt = (qt[..., :, None] * q[:, :, j, None, :]).reshape(p, s, -1)
+        quad = (qt[..., :, None] * qt[..., None, :]).reshape(p, s, -1)
+        zeta = (quad @ self.forms[problems]).reshape(p * s, self.dk, self.dk)
         w, v = np.linalg.eigh(zeta)
         w = np.clip(w, 0.0, None)
         logs = np.log2(np.maximum(w, _LOG_FLOOR))
-        values = -(w * logs).sum(axis=-1)
+        values = -(w * logs).sum(axis=-1).reshape(p, s)
         log_zeta = (v * logs[:, None, :]) @ np.swapaxes(v.conj(), -1, -2)
-        # dS/dT_mu,nu = -tr[log2(zeta) images[mu, nu]]; tr zeta is fixed
-        dt = -(log_zeta.reshape(s, -1) @ self.images_h).real
-        return values, self._rotation_gradients(dt.reshape(s, *full.shape[1:]), t)
-
-    def _rotation_gradients(self, dt: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Chain rule from dS/dT to dS/dR_q, contracting every other qubit's
-        map into the Kronecker product."""
-        s, k = t.shape[0], self.k
-        # axis labels: 0 the batch, 1 + p the row and 1 + k + p the column of qubit p
-        args = [dt.reshape((s,) + (4,) * (2 * k)), list(range(2 * k + 1))]
-        grads = np.empty((s, k, 3, 3))
-        for q in range(k):
-            others = [x for p in range(k) if p != q
-                      for x in (t[:, p], [0, 1 + p, 1 + k + p])]
-            grads[:, q] = np.einsum(*args, *others, [0, 1 + q, 1 + k + q])[:, 1:, 1:]
-        return grads
+        g = -(log_zeta.reshape(p, s, -1) @ self.forms_h[problems]).real
+        dqt = 2.0 * (g.reshape(p, s, qt.shape[-1], -1) @ qt[..., None])
+        dqt = dqt.reshape((p, s) + (4,) * k)
+        grads = np.empty(q.shape)
+        for j in range(k):   # chain rule through the Kronecker product
+            others = [x for r in range(k) if r != j for x in (q[:, :, r], [0, 1, 2 + r])]
+            grads[:, :, j] = np.einsum(dqt, list(range(k + 2)), *others, [0, 1, 2 + j])
+        return values, grads
 
 
 # ---------------------------------------------------------------------------
-# the minimizer: batched steepest descent on SO(3)^k
+# the minimizer: batched steepest descent on unit quaternions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DescentResult:
-    """Outcome of ``minimize``: ``x`` the (k, 3, 3) rotations of the reported
-    minimum, ``fun`` its value, ``nfev`` objective evaluations (one per
-    start per step)."""
+    """Outcome of ``minimize``, one entry per problem: ``x`` the (k, 4)
+    quaternions of the reported minimum, ``fun`` its value, ``start_fun``
+    the lowest value over the starts, ``grad_norm`` the gradient norm at
+    ``x`` in bits per radian of rotation, ``steps`` and ``evaluations``
+    (one per start at the outset and per step); ``nfev`` sums the latter."""
 
     x: np.ndarray
-    fun: float
+    fun: np.ndarray
+    start_fun: np.ndarray
+    grad_norm: np.ndarray
+    steps: np.ndarray
+    evaluations: np.ndarray
     nfev: int
-    steps: int
-    start_fun: float
-    grad_norm: float
-    converged: bool
 
 
-_STEP0 = 1.0        # initial step, radians per unit gradient
+_STEP0 = 1.0        # initial step, radians of rotation per unit gradient
 _GROW, _SHRINK = 2.0, 0.25
 _TIE_ATOL = 1e-12
 
 
-def _riemannian_gradient(r: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Rotation vectors of R^T G - G^T R: the gradient in the tangent space,
-    in bits per radian (the slope of S along R exp([xi]_x) is omega . xi)."""
-    a = np.swapaxes(r, -1, -2) @ g
-    return np.stack([a[..., 2, 1] - a[..., 1, 2],
-                           a[..., 0, 2] - a[..., 2, 0],
-                           a[..., 1, 0] - a[..., 0, 1]], axis=-1)
+def _tangent_gradient(q: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The gradient on each qubit's S^3 in bits per radian of rotation: an
+    arc t of S^3 rotates by 2t, so it is half the tangent part of dS/dq."""
+    return 0.5 * (grad - (grad * q).sum(axis=-1, keepdims=True) * q)
 
 
 def minimize(objective: Callable, starts: np.ndarray, cfg: OptConfig) -> DescentResult:
-    """Steepest descent R <- R exp(-eta skew(R^T G)) from every start at once.
+    """Steepest descent q <- (q - eta omega / 2) / |.| per qubit from the
+    (P, S, k, 4) ``starts`` of P problems at once: a rotation by about
+    eta |omega| radians against the gradient omega.
 
     Each start keeps its own step eta: a step that lowers its value is
     taken and eta doubles, one that does not is refused and eta shrinks
     fourfold. A start stops once its gradient norm is below
-    ``cfg.grad_tol`` or its step no longer moves it; the batch stops when
-    every start has stopped, or after ``cfg.max_steps`` steps. A value
-    within 1e-12 of the minimum at the first start's initial point is
-    reported there, so flat objectives return the first start.
+    ``cfg.grad_tol`` or its step no longer moves it. A problem leaves the
+    batch when every one of its starts has stopped, or after
+    ``cfg.max_steps`` steps. A value within 1e-12 of a problem's minimum at
+    its first start's initial point is reported there, so flat objectives
+    return the first start.
     """
-    r = np.array(starts, dtype=float)
-    values, grads = objective(r)
+    q = np.array(starts, dtype=float)
+    first = q[:, 0].copy()
+    values, grads = objective(q)
     if not np.all(np.isfinite(values)):
         # a refused step never replaces a finite value, so this check suffices
         raise OptimizationError("entropy objective is non-finite at the starts")
-    n = r.shape[0]
-    nfev = n
+    omega = _tangent_gradient(q, grads)
     start_values = values.copy()
-    omega = _riemannian_gradient(r, grads)
-    first_norm = float(np.sqrt((omega[0] ** 2).sum()))
-    eta = np.full(n, _STEP0)
-    steps = 0
-    while steps < cfg.max_steps:
-        norms = np.sqrt((omega ** 2).sum(axis=(1, 2)))
+    first_norm = np.sqrt((omega[:, 0] ** 2).sum(axis=(1, 2)))
+    eta = np.full(values.shape, _STEP0)
+    steps = np.zeros(values.shape[0], dtype=int)
+    while True:
+        norms = np.sqrt((omega ** 2).sum(axis=(2, 3)))
         active = (norms > cfg.grad_tol) & (eta * norms > 1e-15)
-        if not active.any():
+        live = np.flatnonzero(active.any(axis=1) & (steps < cfg.max_steps))
+        if live.size == 0:
             break
-        trial = r @ _so3_exp(-eta[:, None, None] * omega)
-        trial_values, trial_grads = objective(trial)
-        nfev += n
-        steps += 1
-        take = active & (trial_values <= values)
-        r[take] = trial[take]
-        values[take] = trial_values[take]
-        omega[take] = _riemannian_gradient(trial[take], trial_grads[take])
-        eta = np.where(take, eta * _GROW, np.where(active, eta * _SHRINK, eta))
-    best = int(np.argmin(values))
-    if start_values[0] <= values[best] + _TIE_ATOL:
-        x, fun, grad_norm = np.array(starts[0], dtype=float), start_values[0], first_norm
-    else:
-        x, fun = r[best], values[best]
-        grad_norm = float(np.sqrt((omega[best] ** 2).sum()))
-    return DescentResult(x=x, fun=float(fun), nfev=nfev, steps=steps,
-                         start_fun=float(start_values.min()),
-                         grad_norm=grad_norm, converged=grad_norm <= cfg.grad_tol)
+        if live.size == len(steps):
+            live = slice(None)   # every problem: views instead of copies
+        trial = q[live] - 0.5 * eta[live, :, None, None] * omega[live]
+        trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
+        trial_values, trial_grads = objective(trial, live)
+        steps[live] += 1
+        act = active[live]
+        take = act & (trial_values <= values[live])
+        q[live] = np.where(take[..., None, None], trial, q[live])
+        values[live] = np.where(take, trial_values, values[live])
+        omega[live] = np.where(take[..., None, None],
+                               _tangent_gradient(trial, trial_grads), omega[live])
+        eta[live] *= np.where(take, _GROW, np.where(act, _SHRINK, 1.0))
+    rows = np.arange(values.shape[0])
+    best = np.argmin(values, axis=1)
+    tie = start_values[:, 0] <= values[rows, best] + _TIE_ATOL
+    evaluations = values.shape[1] * (steps + 1)
+    return DescentResult(
+        x=np.where(tie[:, None, None], first, q[rows, best]),
+        fun=np.where(tie, start_values[:, 0], values[rows, best]),
+        start_fun=start_values.min(axis=1),
+        grad_norm=np.where(tie, first_norm, norms[rows, best]),
+        steps=steps, evaluations=evaluations, nfev=int(evaluations.sum()))
 
 
 # ---------------------------------------------------------------------------
 # side minima and the noisy bounds
 # ---------------------------------------------------------------------------
 
-def _side_images(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
+def _side_forms(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
                  side: int, reduced: bool) -> np.ndarray:
-    """The side's objective images through one of two routes: on the full
+    """The side's objective forms through one of two routes: on the full
     register (channel on every sender, then the partial trace), or on the
     reduced side state with the channel's marginal Kraus set."""
     n = layout.n_qubits
@@ -541,31 +516,48 @@ def _side_images(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
         pos = [keep.index(q) for q in group]
         kraus = _make_kraus_stage(ch.marginal_kraus(spec, layout, side).operators,
                                   pos, n_side)
-        return _pauli_images(partial_trace_matrix(rho, keep, n), pos, n_side, kraus)
+        return _quadratic_forms(partial_trace_matrix(rho, keep, n), pos, n_side, kraus)
     kraus = _make_kraus_stage(ch.kraus_for(spec, layout).operators,
                               list(layout.sender_indices), n)
-    return _pauli_images(rho, group, n,
-                         lambda m: partial_trace_matrix(kraus(m), keep, n))
+    return _quadratic_forms(rho, group, n,
+                            lambda m: partial_trace_matrix(kraus(m), keep, n))
 
 
-def _side_minimum(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
-                  side: int, cfg: OptConfig, reduced: bool):
-    """(min entropy, minimizer, SearchDiagnostics or None) for one side."""
-    group = layout.group_indices(side)
-    if not group:
-        return _marginal_entropy(rho, layout, layout.side_indices(side)), (), None
-    if len(group) > 1 and cfg.parameterization == "single":
-        raise ValueError("sender group has more than one qubit; pass an OptConfig "
-                         "with parameterization='product'")
-    t0 = time.perf_counter()
-    objective = _EntropyObjective(_side_images(rho, spec, layout, side, reduced),
-                                  len(group))
-    res = minimize(objective, _start_rotations(cfg.starts, len(group)), cfg)
-    diag = SearchDiagnostics(
-        starts=cfg.starts, steps=res.steps, evaluations=res.nfev,
-        start_value=res.start_fun, final_value=res.fun, grad_norm=res.grad_norm,
-        converged=res.converged, elapsed_s=time.perf_counter() - t0)
-    return res.fun, tuple(_params_from_rotation(rq) for rq in res.x), diag
+def _side_minima(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
+                 sides, cfg: OptConfig, reduced: bool) -> list:
+    """(min entropy, minimizer, SearchDiagnostics or None) for each side;
+    sides whose sender groups have one size descend in one batch."""
+    found, batches = {}, {}
+    for side in sides:
+        group = layout.group_indices(side)
+        if not group:
+            found[side] = (_marginal_entropy(rho, layout, layout.side_indices(side)),
+                           (), None)
+            continue
+        if len(group) > 1 and cfg.parameterization == "single":
+            raise ValueError("sender group has more than one qubit; pass an OptConfig "
+                             "with parameterization='product'")
+        t0 = time.perf_counter()
+        forms = _side_forms(rho, spec, layout, side, reduced)
+        batches.setdefault(len(group), []).append(
+            (side, forms, time.perf_counter() - t0))
+    for k, batch in batches.items():
+        t0 = time.perf_counter()
+        objective = _EntropyObjective(np.stack([forms for _, forms, _ in batch]))
+        starts = np.broadcast_to(_start_quaternions(cfg.starts, k),
+                                 (len(batch), cfg.starts, k, 4))
+        res = minimize(objective, starts, cfg)
+        descent_s = time.perf_counter() - t0
+        for p, (side, _, build_s) in enumerate(batch):
+            grad_norm = float(res.grad_norm[p])
+            diag = SearchDiagnostics(
+                starts=cfg.starts, steps=int(res.steps[p]),
+                evaluations=int(res.evaluations[p]), start_value=float(res.start_fun[p]),
+                final_value=float(res.fun[p]), grad_norm=grad_norm,
+                converged=grad_norm <= cfg.grad_tol, elapsed_s=build_s + descent_s)
+            found[side] = (float(res.fun[p]),
+                           tuple(_params_from_quaternion(qj) for qj in res.x[p]), diag)
+    return [found[side] for side in sides]
 
 
 def min_output_entropy(state, spec: ch.ChannelSpec, side: int,
@@ -580,10 +572,8 @@ def min_output_entropy(state, spec: ch.ChannelSpec, side: int,
         qubit of the side's sender group.
     """
     layout = state.layout.require_protocol()
-    if side not in (1, 2):
-        raise ValueError("side must be 1 or 2")
-    val, params, _ = _side_minimum(as_density_matrix(state), spec, layout, side,
-                                   cfg or DEFAULT_OPT, reduced=False)
+    [(val, params, _)] = _side_minima(as_density_matrix(state), spec, layout, [side],
+                                      cfg or DEFAULT_OPT, reduced=False)
     return val, params
 
 
@@ -593,7 +583,7 @@ def _noisy_bound(state, spec: ch.ChannelSpec, cfg: OptConfig,
     rho = as_density_matrix(state)
     s_r1, s_r2 = (_marginal_entropy(rho, layout, [layout.receiver_index(x)])
                   for x in (1, 2))
-    sides = [_side_minimum(rho, spec, layout, side, cfg, reduced) for side in (1, 2)]
+    sides = _side_minima(rho, spec, layout, (1, 2), cfg, reduced)
     return _assemble_report(layout, s_r1, s_r2, sides, cfg.parameterization)
 
 

@@ -313,7 +313,9 @@ def _covariance_key(spec: ChannelSpec, layout: RegisterLayout, n_probes: int):
             layout.roles, tuple(sorted(layout.routing.items())), n_probes)
 
 
+# memo of check_covariance for the default basis, oldest entry evicted first
 _covariance_cache: dict = {}
+COVARIANCE_CACHE_SIZE = 256
 
 
 def check_covariance(spec: ChannelSpec, basis=None,
@@ -325,7 +327,8 @@ def check_covariance(spec: ChannelSpec, basis=None,
     Probes every basis element against a fixed random set of pure-state
     density matrices and returns the max absolute entry deviation. The value
     is a diagnostic: ~0 means covariant. Results for the default basis are
-    memoized (the probe set is fixed, so the value is deterministic).
+    memoized (the probe set is fixed, so the value is deterministic), for at
+    most ``COVARIANCE_CACHE_SIZE`` channels.
     """
     layout = layout if layout is not None else RegisterLayout.split(2)
     key = _covariance_key(spec, layout, n_probes) if basis is None else None
@@ -349,6 +352,8 @@ def check_covariance(spec: ChannelSpec, basis=None,
             rhs = w @ lam_rho @ dag(w)
             dev = max(dev, float(np.abs(lhs - rhs).max()))
     if key is not None:
+        if len(_covariance_cache) >= COVARIANCE_CACHE_SIZE:
+            del _covariance_cache[next(iter(_covariance_cache))]
         _covariance_cache[key] = dev
     return dev
 

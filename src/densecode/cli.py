@@ -35,7 +35,7 @@ from .capacity import (DEFAULT_OPT, BoundReport, OptConfig, OptimizationError,
                        global_capacity, locc_bound_noiseless, noisy_locc_bound,
                        noiseless_bounds)
 from .channels import ChannelSpec, PAULI, parse_channel
-from .ggm import CutSpectra, ggm, theorem2_flags
+from .ggm import CutSpectra, above_gghz_line, ggm, theorem2_flags
 from .qcore import PureState, RegisterLayout, binary_entropy
 from .states import (GghzParams, RngSeed, StateFormatError, haar_amplitudes,
                      load_state, make_gghz, make_ghz)
@@ -100,6 +100,8 @@ class GghzLine:
     def above(self, ggm_value: float, bound_bits: float) -> bool:
         """On or above the curve: the state's bound does not exceed the
         family's bound at equal entanglement."""
+        if self.noiseless:
+            return above_gghz_line(ggm_value, bound_bits, LINE_TOL)
         return bound_bits <= self.bound_at(ggm_value) + LINE_TOL
 
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from densecode.capacity import (CAMPAIGN_OPT, EncodingUnitaryParams, Ensemble,
+                                _params_from_quaternion,
                                 OptConfig, closed_form_ghz_bound,
                                 covariant_chi, ensemble_chi,
                                 extremum_residual_ad, ghz_zeta_eigenvalues,
                                 global_capacity, locc_bound_noiseless,
                                 min_output_entropy, noisy_locc_bound,
                                 pauli_encoded_ensemble)
-from densecode.channels import ChannelSpec, apply_channel
+from densecode.channels import SIGMA, ChannelSpec, apply_channel, parse_channel
 from densecode.qcore import (DensityOp, PureState, RegisterLayout,
                              apply_local_unitary, binary_entropy,
                              entropy_from_eigs, partial_trace,
@@ -484,3 +485,53 @@ def test_encoding_params_cover_su2():
         EncodingUnitaryParams(0.5, 2 * math.pi, 0.0)
     with pytest.raises(ValueError):
         EncodingUnitaryParams(1.0 + 1e-12, 0.0, 0.0)
+
+
+def test_quaternion_readout():
+    # U = w - i(x s_x + y s_y + z s_z) must come back from its parameters
+    rng = np.random.default_rng(20141222)
+    qs = [q / np.linalg.norm(q) for q in rng.standard_normal((200, 4))]
+    c, s = math.cos(0.7), math.sin(0.7)
+    qs += [np.array(q) for q in ((0.0, c, s, 0.0), (0.0, 1.0, 0.0, 0.0),   # a = 0
+                                 (0.0, 0.0, -1.0, 0.0), (c, 0.0, 0.0, s),   # a = 1
+                                 (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0))]
+    for q in qs + [-q for q in qs]:
+        w, x, y, z = q
+        want = w * SIGMA[0] - 1j * (x * SIGMA[1] + y * SIGMA[2] + z * SIGMA[3])
+        got = _params_from_quaternion(q).matrix()
+        assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("channel", ["ad:0.6,0.3", "pd:0.4,0.7"])
+def test_bound_sides_equal_single_side_searches(channel):
+    # both sides descend in one batch; each must match its own search
+    spec = parse_channel(channel)
+    steps = []
+    for i in range(4):
+        st = haar_random_pure(4, RngSeed(99, i), LAYOUT)
+        rep = noisy_locc_bound(st, spec)
+        steps.append([diag.steps for diag in rep.diagnostics])
+        for side, value, params in ((1, rep.entropy_side1, rep.minimizer_side1),
+                                    (2, rep.entropy_side2, rep.minimizer_side2)):
+            alone, alone_params = min_output_entropy(st, spec, side)
+            assert abs(value - alone) < 1e-10
+            for got, want in zip(params, alone_params):
+                assert np.abs(got.matrix() - want.matrix()).max() < 1e-9
+    # a side that stops first leaves the batch and keeps its own step count
+    assert any(s1 != s2 for s1, s2 in steps)
+
+
+def test_unequal_sender_groups_descend_apart():
+    # split(3): side 1 has a two-qubit group, side 2 a one-qubit group
+    layout = RegisterLayout.split(3)
+    assert [len(layout.group_indices(x)) for x in (1, 2)] == [2, 1]
+    st = haar_random_pure(5, RngSeed(99, 0), layout)
+    spec = parse_channel("ad:0.4,0.7")
+    cfg = OptConfig(parameterization="product")
+    rep = noisy_locc_bound(st, spec, cfg)
+    for side, value, diag in ((1, rep.entropy_side1, rep.diagnostics[0]),
+                              (2, rep.entropy_side2, rep.diagnostics[1])):
+        alone, _ = min_output_entropy(st, spec, side, cfg)
+        assert abs(value - alone) < 1e-10
+        assert diag.final_value == value
+        assert diag.evaluations == diag.starts * (diag.steps + 1)

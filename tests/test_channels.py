@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from densecode import channels
 from densecode.channels import (SIGMA, ChannelSpec, KrausSet, apply_channel,
                                 apply_kraus_matrix, channel_to_string,
                                 check_covariance, kraus_for, marginal_kraus,
@@ -215,6 +216,19 @@ def test_amplitude_damping_not_covariant():
     assert check_covariance(ChannelSpec.amplitude_damping(0.3, 0.3)) > 0.01
     for g in (0.06, 0.2, 0.5, 0.95):
         assert check_covariance(ChannelSpec.amplitude_damping(g, g)) > 1e-3
+
+
+def test_covariance_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(channels, "COVARIANCE_CACHE_SIZE", 4)
+    monkeypatch.setattr(channels, "_covariance_cache", {})
+    specs = [ChannelSpec.amplitude_damping(g, 1.0 - g)
+             for g in np.linspace(0.05, 0.45, 10)]
+    first = [check_covariance(spec) for spec in specs]
+    assert len(channels._covariance_cache) == 4
+    assert sorted(channels._covariance_cache.values()) == sorted(first[-4:])
+    # evicted channels are recomputed to the same deviation
+    assert [check_covariance(spec) for spec in specs] == first
+    assert len(channels._covariance_cache) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -42,15 +42,16 @@ def test_haar_parallel_matches_serial(tmp_path, n):
     assert s1.counts_swapped == s2.counts_swapped
 
 
-def _serial_row(seed, sid, bound, line):
-    """A campaign row rebuilt one state at a time through the public API."""
+def _serial_row(seed, sid, bound, above):
+    """A campaign row rebuilt one state at a time through the public API,
+    with ``above(ggm, bound)`` deciding the line column."""
     st = dc.haar_random_pure(4, dc.RngSeed(seed, sid), dc.RegisterLayout.split(2))
     value, scan = dc.ggm(st)
     flags = dc.theorem2_conditions(st)
     b = bound(st).bound_bits
     return [str(sid), cli._fmt(value), cli._fmt(b), str(int(flags.cond_i)),
             str(int(flags.cond_ii)), str(int(flags.swapped_i)),
-            str(int(flags.swapped_ii)), str(int(line.above(value, b))),
+            str(int(flags.swapped_ii)), str(int(above(value, b))),
             scan.argmax_label]
 
 
@@ -71,7 +72,11 @@ def test_haar_rows_equal_per_state_rows(tmp_path, monkeypatch, channel, n):
     spec = dc.parse_channel(channel)
     bound = (dc.locc_bound_noiseless if spec.is_identity
              else lambda st: dc.covariant_chi(st, spec))
-    assert rows == [_serial_row(23, sid, bound, lines[0]) for sid in range(n)]
+    assert rows == [_serial_row(23, sid, bound, lines[0].above) for sid in range(n)]
+    if spec.is_identity:
+        # the noiseless line is the rule of ggm.above_gghz_line
+        assert rows == [_serial_row(23, sid, bound, dc.above_gghz_line)
+                        for sid in range(n)]
 
 
 def test_haar_summary_recomputable(tmp_path):
