@@ -2,7 +2,7 @@
 between N senders and two receivers, under noiseless and noisy channels,
 together with the generalized geometric measure of entanglement."""
 
-from .capacity import (CAMPAIGN_OPT, DEFAULT_OPT, BoundReport,
+from .capacity import (DEFAULT_OPT, BoundReport,
                        EncodingUnitaryParams, Ensemble, OptConfig,
                        OptimizationError, SearchDiagnostics,
                        closed_form_ghz_bound, covariant_chi, ensemble_chi,
@@ -27,7 +27,7 @@ from .states import (GghzParams, RngSeed, StateFormatError, haar_amplitudes,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartitionScan", "BoundReport", "CAMPAIGN_OPT", "ChannelSpec",
+    "BipartitionScan", "BoundReport", "ChannelSpec",
     "CutSpectra", "DEFAULT_OPT", "DensityOp", "EncodingUnitaryParams",
     "Ensemble", "GghzParams", "KrausSet", "OptConfig", "OptimizationError",
     "PureState", "RegisterLayout", "RngSeed", "SearchDiagnostics",

@@ -107,8 +107,6 @@ class OptConfig:
 
 
 DEFAULT_OPT = OptConfig()
-# the settings of campaign runs: the descent needs no cheaper variant
-CAMPAIGN_OPT = DEFAULT_OPT
 
 
 @dataclass(frozen=True)
@@ -117,8 +115,8 @@ class SearchDiagnostics:
 
     ``start_value`` is the lowest objective over the starting encodings and
     ``final_value`` the reported minimum. ``steps`` counts the side's own
-    descent steps and ``evaluations`` its objective values, ``starts`` per
-    step plus ``starts`` at the outset. ``grad_norm`` is the gradient norm
+    descent steps and ``evaluations`` its objective values: ``starts`` at the
+    outset plus one per step a start took. ``grad_norm`` is the gradient norm
     at the reported minimizer, in bits per radian of rotation, and
     ``converged`` says it is within the tolerance. ``elapsed_s`` covers
     building the side's objective and the descent of its batch.
@@ -421,7 +419,8 @@ class DescentResult:
     quaternions of the reported minimum, ``fun`` its value, ``start_fun``
     the lowest value over the starts, ``grad_norm`` the gradient norm at
     ``x`` in bits per radian of rotation, ``steps`` and ``evaluations``
-    (one per start at the outset and per step); ``nfev`` sums the latter."""
+    (one per start at the outset, and one per step a start took); ``nfev``
+    sums the latter."""
 
     x: np.ndarray
     fun: np.ndarray
@@ -448,11 +447,14 @@ def minimize(objective: Callable, starts: np.ndarray, cfg: OptConfig) -> Descent
     (P, S, k, 4) ``starts`` of P problems at once: a rotation by about
     eta |omega| radians against the gradient omega.
 
-    Each start keeps its own step eta: a step that lowers its value is
-    taken and eta doubles, one that does not is refused and eta shrinks
-    fourfold. A start stops once its gradient norm is below
-    ``cfg.grad_tol`` or its step no longer moves it. A problem leaves the
-    batch when every one of its starts has stopped, or after
+    Each start keeps its own step eta. A step that lowers its value is
+    taken, and the next eta is the Barzilai-Borwein length 2<s,s>/<s,y> of
+    that step (s the change in q, y the change in omega), clipped to
+    [0.1, 10] times the last eta, or twice the last eta where <s,y> <= 0.
+    A step that does not lower the value is refused and eta shrinks
+    fourfold. A start stops once its gradient norm is below ``cfg.grad_tol``
+    or its step no longer moves it, and is not evaluated again. A problem
+    leaves the batch when every one of its starts has stopped, or after
     ``cfg.max_steps`` steps. A value within 1e-12 of a problem's minimum at
     its first start's initial point is reported there, so flat objectives
     return the first start.
@@ -468,29 +470,33 @@ def minimize(objective: Callable, starts: np.ndarray, cfg: OptConfig) -> Descent
     first_norm = np.sqrt((omega[:, 0] ** 2).sum(axis=(1, 2)))
     eta = np.full(values.shape, _STEP0)
     steps = np.zeros(values.shape[0], dtype=int)
+    evaluations = np.full(values.shape[0], values.shape[1])
     while True:
         norms = np.sqrt((omega ** 2).sum(axis=(2, 3)))
-        active = (norms > cfg.grad_tol) & (eta * norms > 1e-15)
-        live = np.flatnonzero(active.any(axis=1) & (steps < cfg.max_steps))
-        if live.size == 0:
+        active = ((norms > cfg.grad_tol) & (eta * norms > 1e-15)
+                  & (steps < cfg.max_steps)[:, None])
+        rows, cols = np.nonzero(active)
+        if rows.size == 0:
             break
-        if live.size == len(steps):
-            live = slice(None)   # every problem: views instead of copies
-        trial = q[live] - 0.5 * eta[live, :, None, None] * omega[live]
+        steps += active.any(axis=1)
+        evaluations += active.sum(axis=1)
+        q0, omega0, eta0 = q[rows, cols], omega[rows, cols], eta[rows, cols]
+        trial = q0 - 0.5 * eta0[:, None, None] * omega0
         trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
-        trial_values, trial_grads = objective(trial, live)
-        steps[live] += 1
-        act = active[live]
-        take = act & (trial_values <= values[live])
-        q[live] = np.where(take[..., None, None], trial, q[live])
-        values[live] = np.where(take, trial_values, values[live])
-        omega[live] = np.where(take[..., None, None],
-                               _tangent_gradient(trial, trial_grads), omega[live])
-        eta[live] *= np.where(take, _GROW, np.where(act, _SHRINK, 1.0))
+        trial_values, trial_grads = objective(trial[:, None], rows)
+        trial_omega = _tangent_gradient(trial, trial_grads[:, 0])
+        take = trial_values[:, 0] <= values[rows, cols]
+        s, y = trial - q0, trial_omega - omega0
+        ss, sy = (s * s).sum(axis=(1, 2)), (s * y).sum(axis=(1, 2))
+        bb = np.clip(2.0 * ss / np.where(sy > 0, sy, 1.0), 0.1 * eta0, 10.0 * eta0)
+        eta[rows, cols] = np.where(take, np.where(sy > 0, bb, _GROW * eta0),
+                                   _SHRINK * eta0)
+        rows, cols = rows[take], cols[take]
+        q[rows, cols], omega[rows, cols] = trial[take], trial_omega[take]
+        values[rows, cols] = trial_values[take, 0]
     rows = np.arange(values.shape[0])
     best = np.argmin(values, axis=1)
     tie = start_values[:, 0] <= values[rows, best] + _TIE_ATOL
-    evaluations = values.shape[1] * (steps + 1)
     return DescentResult(
         x=np.where(tie[:, None, None], first, q[rows, best]),
         fun=np.where(tie, start_values[:, 0], values[rows, best]),

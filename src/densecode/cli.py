@@ -36,7 +36,7 @@ from .capacity import (DEFAULT_OPT, BoundReport, OptConfig, OptimizationError,
                        noiseless_bounds)
 from .channels import ChannelSpec, PAULI, parse_channel
 from .ggm import CutSpectra, above_gghz_line, ggm, theorem2_flags
-from .qcore import PureState, RegisterLayout, binary_entropy
+from .qcore import PureState, RegisterLayout
 from .states import (GghzParams, RngSeed, StateFormatError, haar_amplitudes,
                      load_state, make_gghz, make_ghz)
 
@@ -92,10 +92,8 @@ class GghzLine:
         return cls(noiseless=False, e_grid=e, bound_grid=bounds[::-1].copy())
 
     def bound_at(self, e: float) -> float:
-        e = min(max(e, 0.0), 0.5)
-        if self.noiseless:
-            return 2.0 + binary_entropy(1.0 - e)
-        return float(np.interp(e, self.e_grid, self.bound_grid))
+        """The tabulated noisy line at E, clamped to [0, 1/2]."""
+        return float(np.interp(min(max(e, 0.0), 0.5), self.e_grid, self.bound_grid))
 
     def above(self, ggm_value: float, bound_bits: float) -> bool:
         """On or above the curve: the state's bound does not exceed the

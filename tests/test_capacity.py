@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from densecode.capacity import (CAMPAIGN_OPT, EncodingUnitaryParams, Ensemble,
+from densecode import capacity
+from densecode.capacity import (DEFAULT_OPT, EncodingUnitaryParams, Ensemble,
                                 _params_from_quaternion,
                                 OptConfig, closed_form_ghz_bound,
                                 covariant_chi, ensemble_chi,
@@ -21,8 +22,8 @@ from densecode.states import GghzParams, RngSeed, haar_random_pure, make_ghz, ma
 LAYOUT = RegisterLayout.split(2)
 GHZ = make_ghz(4, LAYOUT)
 
-# fast settings for property loops; the minimum is exact for flat objectives
-QUICK = CAMPAIGN_OPT
+# the settings of property loops; the minimum is exact for flat objectives
+QUICK = DEFAULT_OPT
 
 
 def ad_closed_form_entropy(gamma: float) -> float:
@@ -321,11 +322,11 @@ def test_general_pauli_full_route():
 
 
 def test_campaign_config_matches_default_grid():
-    # the campaign settings reach the default minimum on generic states
+    # campaigns pass DEFAULT_OPT explicitly; it must equal the default
     spec = ChannelSpec.pauli_correlated([0.485, 0.015, 0.015, 0.485])
     for sid in range(8):
         st = haar_random_pure(4, RngSeed(1100, sid), LAYOUT)
-        a = covariant_chi(st, spec, CAMPAIGN_OPT)
+        a = covariant_chi(st, spec, DEFAULT_OPT)
         b = covariant_chi(st, spec)
         assert abs(a.bound_bits - b.bound_bits) < 1e-6
 
@@ -464,13 +465,36 @@ def test_opt_config_rejects_non_positive_settings():
             OptConfig(**bad)
 
 
-def test_bound_report_search_diagnostics():
+@pytest.fixture
+def rows_evaluated(monkeypatch):
+    """Counts the objective rows each problem is evaluated on: one array per
+    objective, in the order the objectives are first called."""
+    counts = {}
+    call = capacity._EntropyObjective.__call__
+
+    def counting(self, q, problems=slice(None)):
+        per = counts.setdefault(self, np.zeros(len(self.forms), dtype=int))
+        np.add.at(per, np.arange(len(per))[problems], q.shape[1])
+        return call(self, q, problems)
+
+    monkeypatch.setattr(capacity._EntropyObjective, "__call__", counting)
+    return counts
+
+
+def assert_evaluations_counted(diags, evaluated):
+    assert len(diags) == len(evaluated)
+    for diag, rows in zip(diags, evaluated):
+        assert diag.evaluations == rows
+        assert diag.starts + diag.steps <= diag.evaluations <= diag.starts * (diag.steps + 1)
+
+
+def test_bound_report_search_diagnostics(rows_evaluated):
     st = haar_random_pure(4, RngSeed(99, 1), LAYOUT)
     rep = noisy_locc_bound(st, ChannelSpec.amplitude_damping(0.6, 0.3))
+    assert_evaluations_counted(rep.diagnostics, np.concatenate(list(rows_evaluated.values())))
     for value, diag in zip((rep.entropy_side1, rep.entropy_side2), rep.diagnostics):
         assert diag.starts == 16
         assert diag.final_value == value <= diag.start_value
-        assert diag.evaluations == diag.starts * (diag.steps + 1)
         assert diag.converged and diag.grad_norm <= 1e-7
         assert diag.elapsed_s > 0.0
     assert locc_bound_noiseless(st).diagnostics == (None, None)
@@ -521,7 +545,7 @@ def test_bound_sides_equal_single_side_searches(channel):
     assert any(s1 != s2 for s1, s2 in steps)
 
 
-def test_unequal_sender_groups_descend_apart():
+def test_unequal_sender_groups_descend_apart(rows_evaluated):
     # split(3): side 1 has a two-qubit group, side 2 a one-qubit group
     layout = RegisterLayout.split(3)
     assert [len(layout.group_indices(x)) for x in (1, 2)] == [2, 1]
@@ -529,9 +553,79 @@ def test_unequal_sender_groups_descend_apart():
     spec = parse_channel("ad:0.4,0.7")
     cfg = OptConfig(parameterization="product")
     rep = noisy_locc_bound(st, spec, cfg)
+    # one objective per group size, side 1's batch first
+    assert_evaluations_counted(rep.diagnostics, np.concatenate(list(rows_evaluated.values())))
     for side, value, diag in ((1, rep.entropy_side1, rep.diagnostics[0]),
                               (2, rep.entropy_side2, rep.diagnostics[1])):
         alone, _ = min_output_entropy(st, spec, side, cfg)
         assert abs(value - alone) < 1e-10
         assert diag.final_value == value
-        assert diag.evaluations == diag.starts * (diag.steps + 1)
+
+
+def polar(q):
+    """-z^2 on S^3 for every row of q, with its gradient. The identity is
+    its maximum and +-(0, 0, 0, 1) are its minima."""
+    grads = np.zeros(q.shape)
+    grads[..., 3] = -2.0 * q[..., 3]
+    return -(q[..., 3] ** 2).sum(axis=-1), grads
+
+
+class PolarObjective:
+    """``polar`` as a ``minimize`` objective that records each call's rows."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, q, problems=slice(None)):
+        self.calls.append(q.copy())
+        return polar(q)
+
+
+def polar_starts(*angles):
+    """(1, S, 1, 4) starts (cos phi, 0, 0, sin phi), at -phi^2 about the identity."""
+    return np.array([[[[math.cos(a), 0.0, 0.0, math.sin(a)]] for a in angles]])
+
+
+def test_stopped_starts_are_not_evaluated_again():
+    # the identity is stationary, so it stops at once; the start at 1.2
+    # reaches the minimum well before the one that leaves the maximum at -1e-3
+    objective = PolarObjective()
+    res = capacity.minimize(objective, polar_starts(0.0, 1.2, -1e-3), DEFAULT_OPT)
+    rows = [q.shape[0] * q.shape[1] for q in objective.calls]
+    assert rows[0] == 3 and 1 in rows
+    assert all(a >= b for a, b in zip(rows[1:], rows[2:]))
+    assert max(rows[1:]) == 2
+    assert res.steps[0] == len(rows) - 1 and res.evaluations[0] == sum(rows)
+    assert res.nfev == sum(rows)
+    for q in objective.calls[1:]:
+        assert np.abs(q[..., 0]).max() < 1.0
+    assert abs(res.fun[0] + 1.0) < 1e-12
+
+
+def test_step_length_rule():
+    # one start leaving the maximum: -z^2 is concave there, so <s, y> <= 0
+    # and the step grows by _GROW; near the minimum the step is the
+    # Barzilai-Borwein length. Each step's eta is read back from its trial.
+    objective = PolarObjective()
+    capacity.minimize(objective, polar_starts(1e-3), DEFAULT_OPT)
+    q = objective.calls[0][0, 0]
+    value, grad = polar(q)
+    omega = capacity._tangent_gradient(q, grad)
+    eta, grown, bb = capacity._STEP0, 0, 0
+    for trial in objective.calls[1:]:
+        trial = trial[0, 0]
+        step = trial / (trial * q).sum() - q
+        assert abs(2.0 * np.linalg.norm(step) / np.linalg.norm(omega) - eta) < 1e-9 * eta
+        trial_value, trial_grad = polar(trial)
+        if trial_value > value:
+            eta *= capacity._SHRINK
+            continue
+        trial_omega = capacity._tangent_gradient(trial, trial_grad)
+        s, y = trial - q, trial_omega - omega
+        sy = (s * y).sum()
+        if sy <= 0:
+            eta, grown = capacity._GROW * eta, grown + 1
+        else:
+            eta, bb = float(np.clip(2.0 * (s * s).sum() / sy, 0.1 * eta, 10.0 * eta)), bb + 1
+        q, value, omega = trial, trial_value, trial_omega
+    assert grown >= 3 and bb >= 3
