@@ -9,12 +9,9 @@ The quantities computed here:
 * ``locc_bound_noiseless`` -- the noiseless LOCC bound
   log d_S + S(rho^{R1}) + S(rho^{R2}) - max_x S(rho^x); exact, no search.
 * ``noisy_locc_bound`` -- the noisy-channel bound with the same first three
-  terms and the last term minimized over sender-local unitary encodings,
-  computed on the full register (encode, apply the channel, then trace).
-* ``covariant_chi`` -- the covariant-channel form of the same bound,
-  computed on the reduced side states with the channel's marginal Kraus set;
-  an independent route that must agree with ``noisy_locc_bound`` for
-  covariant noise.
+  terms and the last term minimized over sender-local unitary encodings, on
+  each side's reduced state with the channel's marginal Kraus set.
+* ``covariant_chi`` -- the same bound, for channels passing the covariance check.
 
 Encoding unitaries are reported per sender qubit as
 
@@ -34,6 +31,7 @@ read off q: a e^{i t1} = w - i z and sqrt(1-a^2) e^{-i t2} = -y - i x.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -297,22 +295,22 @@ def _params_from_quaternion(q: np.ndarray) -> EncodingUnitaryParams:
     return EncodingUnitaryParams(a, theta1, theta2)
 
 
-# U = sum_A q_A u_A for the quaternion q of a qubit's encoding
-_QUATERNION_UNITS = (ch.SIGMA[0],) + tuple(-1j * s for s in ch.SIGMA[1:])
 _START_SEED = 20141222
 
 
+@functools.lru_cache
 def _start_quaternions(count: int, group_size: int) -> np.ndarray:
-    """(count, group_size, 4) fixed starting quaternions, the identity first;
-    the rest are the rotations by |v| about v, q = (cos(|v|/2),
-    sin(|v|/2) v/|v|), for rotation vectors v drawn uniformly from the ball
-    of radius pi under a fixed seed."""
+    """(count, group_size, 4) fixed starting quaternions, read-only, the
+    identity first; the rest are the rotations by |v| about v, q =
+    (cos(|v|/2), sin(|v|/2) v/|v|), for rotation vectors v drawn uniformly
+    from the ball of radius pi under a fixed seed."""
     gen = np.random.default_rng([_START_SEED, group_size])
     v = gen.standard_normal((count, group_size, 3))
     half = 0.5 * math.pi * gen.uniform(0.0, 1.0, (count, group_size, 1)) ** (1 / 3)
     q = np.concatenate([np.cos(half), np.sin(half) * v
                         / np.linalg.norm(v, axis=-1, keepdims=True)], axis=-1)
     q[0] = (1.0, 0.0, 0.0, 0.0)
+    q.setflags(write=False)
     return q
 
 
@@ -323,7 +321,6 @@ def _start_quaternions(count: int, group_size: int) -> np.ndarray:
 def _make_kraus_stage(ops, targets, n: int):
     """Returns f(rhos (G,d,d)) -> (G,d,d): sum_k (K on targets) rho K^dag,
     as one product with the superoperator sum_k K (x) K* on the targets."""
-    targets = list(targets)
     rest = [q for q in range(n) if q not in targets]
     fwd = ([0] + [1 + q for q in rest] + [1 + n + q for q in rest]
            + [1 + q for q in targets] + [1 + n + q for q in targets])
@@ -341,6 +338,16 @@ def _make_kraus_stage(ops, targets, n: int):
     return stage
 
 
+@functools.lru_cache
+def _unit_products(k: int) -> np.ndarray:
+    """(4^k, 2^k, 2^k) Kronecker products u_A of k per-qubit units, read-only."""
+    per_qubit = (ch.SIGMA[0],) + tuple(-1j * s for s in ch.SIGMA[1:])
+    units = np.stack([tensor(*(per_qubit[a] for a in combo))
+                      for combo in product(range(4), repeat=k)])
+    units.setflags(write=False)
+    return units
+
+
 def _quadratic_forms(rho: np.ndarray, group, n: int, post: Callable) -> np.ndarray:
     """The (16^k, dk, dk) matrices D of the encoded side state
     zeta = sum_AB qt_A qt_B D_AB, qt the Kronecker product of the k per-qubit
@@ -350,15 +357,13 @@ def _quadratic_forms(rho: np.ndarray, group, n: int, post: Callable) -> np.ndarr
     the per-qubit units (1, -i s_x, -i s_y, -i s_z), so D_AB is the symmetric
     part of post(u_A rho u_B^+).
     """
-    group = list(group)
     k = len(group)
     rest = [q for q in range(n) if q not in group]
     perm = group + rest
     kdim, rdim, d = 1 << k, 1 << len(rest), 1 << n
     t = rho.reshape([2] * (2 * n)).transpose(perm + [p + n for p in perm])
     t = t.reshape(kdim, rdim, kdim, rdim)
-    units = np.stack([tensor(*(_QUATERNION_UNITS[a] for a in combo))
-                      for combo in product(range(4), repeat=k)])
+    units = _unit_products(k)
     m = np.einsum("Aab,brct,Bdc->ABardt", units, t, units.conj())
     inv = list(np.argsort(perm))
     back = [0] + [1 + i for i in inv] + [1 + n + i for i in inv]
@@ -509,28 +514,29 @@ def minimize(objective: Callable, starts: np.ndarray, cfg: OptConfig) -> Descent
 # side minima and the noisy bounds
 # ---------------------------------------------------------------------------
 
+_stage_cache: dict = {}
+STAGE_CACHE_SIZE = 256
+
+
 def _side_forms(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
-                 side: int, reduced: bool) -> np.ndarray:
-    """The side's objective forms through one of two routes: on the full
-    register (channel on every sender, then the partial trace), or on the
-    reduced side state with the channel's marginal Kraus set."""
-    n = layout.n_qubits
+                side: int) -> np.ndarray:
+    """The side's objective forms on its reduced state, with the channel's
+    marginal Kraus stage (memoized per channel, layout and side, oldest
+    evicted first) on the sender group; the traced senders' noise drops out."""
     keep = list(layout.side_indices(side))
-    group = list(layout.group_indices(side))
-    if reduced:
-        n_side = len(keep)
-        pos = [keep.index(q) for q in group]
-        kraus = _make_kraus_stage(ch.marginal_kraus(spec, layout, side).operators,
-                                  pos, n_side)
-        return _quadratic_forms(partial_trace_matrix(rho, keep, n), pos, n_side, kraus)
-    kraus = _make_kraus_stage(ch.kraus_for(spec, layout).operators,
-                              list(layout.sender_indices), n)
-    return _quadratic_forms(rho, group, n,
-                            lambda m: partial_trace_matrix(kraus(m), keep, n))
+    pos = [keep.index(q) for q in layout.group_indices(side)]
+    key = ch._channel_key(spec, layout) + (side,)
+    if key not in _stage_cache:
+        if len(_stage_cache) >= STAGE_CACHE_SIZE:
+            del _stage_cache[next(iter(_stage_cache))]
+        _stage_cache[key] = _make_kraus_stage(
+            ch.marginal_kraus(spec, layout, side).operators, pos, len(keep))
+    return _quadratic_forms(partial_trace_matrix(rho, keep, layout.n_qubits), pos,
+                            len(keep), _stage_cache[key])
 
 
 def _side_minima(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
-                 sides, cfg: OptConfig, reduced: bool) -> list:
+                 sides, cfg: OptConfig) -> list:
     """(min entropy, minimizer, SearchDiagnostics or None) for each side;
     sides whose sender groups have one size descend in one batch."""
     found, batches = {}, {}
@@ -544,7 +550,7 @@ def _side_minima(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
             raise ValueError("sender group has more than one qubit; pass an OptConfig "
                              "with parameterization='product'")
         t0 = time.perf_counter()
-        forms = _side_forms(rho, spec, layout, side, reduced)
+        forms = _side_forms(rho, spec, layout, side)
         batches.setdefault(len(group), []).append(
             (side, forms, time.perf_counter() - t0))
     for k, batch in batches.items():
@@ -571,7 +577,7 @@ def min_output_entropy(state, spec: ch.ChannelSpec, side: int,
     """Minimum entropy of the side-``side`` state after encoding and noise,
     min over sender-local unitaries of S(zeta^side).
 
-    Computed on the full register (encode, full channel, partial trace).
+    Computed as ``noisy_locc_bound`` computes each side, on its reduced state.
 
     Returns:
         (entropy_bits, minimizer): minimizer is one EncodingUnitaryParams per
@@ -579,17 +585,16 @@ def min_output_entropy(state, spec: ch.ChannelSpec, side: int,
     """
     layout = state.layout.require_protocol()
     [(val, params, _)] = _side_minima(as_density_matrix(state), spec, layout, [side],
-                                      cfg or DEFAULT_OPT, reduced=False)
+                                      cfg or DEFAULT_OPT)
     return val, params
 
 
-def _noisy_bound(state, spec: ch.ChannelSpec, cfg: OptConfig,
-                 reduced: bool) -> BoundReport:
+def _noisy_bound(state, spec: ch.ChannelSpec, cfg: OptConfig) -> BoundReport:
     layout = state.layout.require_protocol()
     rho = as_density_matrix(state)
     s_r1, s_r2 = (_marginal_entropy(rho, layout, [layout.receiver_index(x)])
                   for x in (1, 2))
-    sides = _side_minima(rho, spec, layout, (1, 2), cfg, reduced)
+    sides = _side_minima(rho, spec, layout, (1, 2), cfg)
     return _assemble_report(layout, s_r1, s_r2, sides, cfg.parameterization)
 
 
@@ -597,7 +602,7 @@ def noisy_locc_bound(state, spec: ch.ChannelSpec,
                      cfg: OptConfig | None = None) -> BoundReport:
     """Upper bound on the LOCC dense-coding capacity under a noisy channel:
     log d_S + S(rho^{R1}) + S(rho^{R2}) - max_x S(zeta^x)."""
-    return _noisy_bound(state, spec, cfg or DEFAULT_OPT, reduced=False)
+    return _noisy_bound(state, spec, cfg or DEFAULT_OPT)
 
 
 COVARIANCE_GATE = 1e-8
@@ -607,16 +612,16 @@ def covariant_chi(state, spec: ch.ChannelSpec,
                   cfg: OptConfig | None = None) -> BoundReport:
     """The covariant-channel capacity bound chi.
 
-    Requires a covariant channel (checked); the first two entropy terms come
-    from the unencoded receiver marginals exactly, and each side's last term
-    is minimized over that side's fixed unitary alone, on the reduced side
-    state with the channel's marginal Kraus operators.
+    Requires a covariant channel (checked), for which the bound holds with
+    equality of its ensemble form; the value is then computed exactly as
+    ``noisy_locc_bound`` computes it, on the reduced side states with the
+    channel's marginal Kraus operators.
     """
     layout = state.layout.require_protocol()
     dev = ch.check_covariance(spec, layout=layout)
     if dev >= COVARIANCE_GATE:
         raise ValueError(f"channel is not covariant: max deviation {dev:.3e}")
-    return _noisy_bound(state, spec, cfg or DEFAULT_OPT, reduced=True)
+    return _noisy_bound(state, spec, cfg or DEFAULT_OPT)
 
 
 # ---------------------------------------------------------------------------

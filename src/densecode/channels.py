@@ -193,6 +193,12 @@ def _group_param_by_qubit(spec: ChannelSpec, layout: RegisterLayout) -> dict[int
     return out
 
 
+def _require_single_qubit_groups(layout: RegisterLayout):
+    if len(layout.group_indices(1)) != 1 or len(layout.group_indices(2)) != 1:
+        raise ValueError("general pauli noise supports exactly one sender qubit "
+                         "per receiver group")
+
+
 def kraus_for(spec: ChannelSpec, layout: RegisterLayout) -> KrausSet:
     """Kraus operators of the channel on the full sender space.
 
@@ -214,16 +220,14 @@ def kraus_for(spec: ChannelSpec, layout: RegisterLayout) -> KrausSet:
         ops = tuple(np.sqrt(qm) * tensor(*([SIGMA[m]] * len(senders)))
                     for m, qm in enumerate(spec.q) if qm > 0.0)
         return KrausSet(ops)
-    group1, group2 = layout.group_indices(1), layout.group_indices(2)
-    if len(group1) != 1 or len(group2) != 1:
-        raise ValueError("general pauli noise supports exactly one sender qubit "
-                         "per receiver group")
+    _require_single_qubit_groups(layout)
+    [first] = layout.group_indices(1)
     ops = []
     for m in range(4):
         for n in range(4):
             if spec.q[m, n] <= 0.0:
                 continue
-            factors = [SIGMA[m] if q == group1[0] else SIGMA[n] for q in senders]
+            factors = [SIGMA[m] if q == first else SIGMA[n] for q in senders]
             ops.append(np.sqrt(spec.q[m, n]) * tensor(*factors))
     return KrausSet(tuple(ops))
 
@@ -234,7 +238,7 @@ def marginal_kraus(spec: ChannelSpec, layout: RegisterLayout, side: int) -> Krau
 
     Valid for every supported family: damping channels factor across wires,
     and for Pauli noise the traced-out sigmas conjugate away, leaving the
-    row/column marginal weights.
+    row/column marginal weights (general Pauli needs one-qubit groups).
     """
     layout.require_protocol()
     group = layout.group_indices(side)
@@ -251,6 +255,7 @@ def marginal_kraus(spec: ChannelSpec, layout: RegisterLayout, side: int) -> Krau
         ops = tuple(np.sqrt(qm) * tensor(*([SIGMA[m]] * gs))
                     for m, qm in enumerate(spec.q) if qm > 0.0)
         return KrausSet(ops)
+    _require_single_qubit_groups(layout)
     weights = spec.q.sum(axis=1) if side == 1 else spec.q.sum(axis=0)
     return KrausSet(tuple(np.sqrt(w) * SIGMA[m]
                           for m, w in enumerate(weights) if w > 0.0))
@@ -307,10 +312,10 @@ def _probe_states(dim: int, count: int, seed: int = 20240901) -> list[np.ndarray
     return probes
 
 
-def _covariance_key(spec: ChannelSpec, layout: RegisterLayout, n_probes: int):
+def _channel_key(spec: ChannelSpec, layout: RegisterLayout) -> tuple:
     qb = spec.q.tobytes() if spec.q is not None else b""
     return (spec.family, spec.group_params, qb, spec.correlated,
-            layout.roles, tuple(sorted(layout.routing.items())), n_probes)
+            layout.roles, tuple(sorted(layout.routing.items())))
 
 
 # memo of check_covariance for the default basis, oldest entry evicted first
@@ -331,7 +336,7 @@ def check_covariance(spec: ChannelSpec, basis=None,
     most ``COVARIANCE_CACHE_SIZE`` channels.
     """
     layout = layout if layout is not None else RegisterLayout.split(2)
-    key = _covariance_key(spec, layout, n_probes) if basis is None else None
+    key = _channel_key(spec, layout) + (n_probes,) if basis is None else None
     if key is not None and key in _covariance_cache:
         return _covariance_cache[key]
     kset = kraus_for(spec, layout)

@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from densecode.qcore import DensityOp, dag, partial_trace_matrix, tensor
+from densecode.channels import apply_channel
+from densecode.qcore import (DensityOp, apply_local_unitary, dag, partial_trace,
+                             partial_trace_matrix, tensor)
 
 
 def eigvals_hermitian(a: np.ndarray) -> np.ndarray:
@@ -36,3 +38,15 @@ def twirl_expected_matrix(rho: DensityOp, targets) -> np.ndarray:
     t = full.reshape([2] * (2 * n))
     t = t.transpose(list(inv) + [i + n for i in inv])
     return t.reshape(rho.dim, rho.dim)
+
+
+def side_state_full_register(state, spec, side: int, unitaries) -> np.ndarray:
+    """The side-``side`` state on the full register: each qubit of the side's
+    sender group encoded with its unitary, every sender sent through the
+    channel, then everything off the side traced out."""
+    layout = state.layout
+    encoded = state
+    for q, u in zip(layout.group_indices(side), unitaries, strict=True):
+        encoded = apply_local_unitary(encoded, [q], u)
+    noisy = apply_channel(encoded.density(), spec)
+    return partial_trace(noisy, layout.side_indices(side)).matrix

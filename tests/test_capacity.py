@@ -12,12 +12,13 @@ from densecode.capacity import (DEFAULT_OPT, EncodingUnitaryParams, Ensemble,
                                 global_capacity, locc_bound_noiseless,
                                 min_output_entropy, noisy_locc_bound,
                                 pauli_encoded_ensemble)
-from densecode.channels import SIGMA, ChannelSpec, apply_channel, parse_channel
-from densecode.qcore import (DensityOp, PureState, RegisterLayout,
-                             apply_local_unitary, binary_entropy,
-                             entropy_from_eigs, partial_trace,
-                             partial_trace_matrix, von_neumann_entropy)
+from densecode.channels import SIGMA, ChannelSpec, parse_channel
+from densecode.qcore import (DensityOp, PureState, RegisterLayout, binary_entropy,
+                             entropy_from_eigs, partial_trace_matrix,
+                             von_neumann_entropy)
 from densecode.states import GghzParams, RngSeed, haar_random_pure, make_ghz, make_gghz
+
+from oracles import side_state_full_register
 
 LAYOUT = RegisterLayout.split(2)
 GHZ = make_ghz(4, LAYOUT)
@@ -37,13 +38,9 @@ def product_state(bits: str) -> PureState:
 
 
 def zeta_numeric(state, spec, side, params: EncodingUnitaryParams) -> np.ndarray:
-    """Reference zeta^side built step by step through the public API."""
+    """Reference zeta^side with ``params`` on every qubit of the side's group."""
     group = state.layout.group_indices(side)
-    encoded = state
-    for q in group:
-        encoded = apply_local_unitary(encoded, [q], params.matrix())
-    noisy = apply_channel(encoded.density(), spec)
-    return partial_trace(noisy, state.layout.side_indices(side)).matrix
+    return side_state_full_register(state, spec, side, [params.matrix()] * len(group))
 
 
 def entropy_numeric(state, spec, side, params: EncodingUnitaryParams) -> float:
@@ -324,11 +321,58 @@ def test_general_pauli_full_route():
 def test_campaign_config_matches_default_grid():
     # campaigns pass DEFAULT_OPT explicitly; it must equal the default
     spec = ChannelSpec.pauli_correlated([0.485, 0.015, 0.015, 0.485])
-    for sid in range(8):
-        st = haar_random_pure(4, RngSeed(1100, sid), LAYOUT)
-        a = covariant_chi(st, spec, DEFAULT_OPT)
-        b = covariant_chi(st, spec)
-        assert abs(a.bound_bits - b.bound_bits) < 1e-6
+    st = haar_random_pure(4, RngSeed(1100, 0), LAYOUT)
+    a = covariant_chi(st, spec, DEFAULT_OPT)
+    b = covariant_chi(st, spec)
+    assert abs(a.bound_bits - b.bound_bits) < 1e-6
+
+
+def quaternion_unitary(q) -> np.ndarray:
+    """U = w - i(x s_x + y s_y + z s_z) for the quaternion q = (w, x, y, z)."""
+    w, x, y, z = q
+    return w * SIGMA[0] - 1j * (x * SIGMA[1] + y * SIGMA[2] + z * SIGMA[3])
+
+
+ORACLE_CASES = (
+    [(2, c) for c in ("none", "ad:0.3,0.6", "pd:0.4,0.7", "pauli:0.7,0.1,0.15,0.05",
+                      "pauli-gen:0.3,0.05,0.02,0.03,0.08,0.1,0.01,0.04,"
+                      "0.06,0.02,0.09,0.03,0.05,0.01,0.07,0.04")]
+    + [(k, c) for k in (3, 4)
+       for c in ("ad:0.3,0.6", "pd:0.4,0.7", "pauli:0.7,0.1,0.15,0.05")])
+
+
+@pytest.mark.parametrize("senders,channel", ORACLE_CASES)
+def test_side_objective_matches_full_register_oracle(senders, channel):
+    # the library builds each side on its reduced state; the oracle encodes,
+    # sends every sender through the channel and traces on the full register
+    layout = RegisterLayout.split(senders)
+    st = haar_random_pure(senders + 2, RngSeed(1200, senders), layout)
+    spec = parse_channel(channel)
+    rng = np.random.default_rng(39)
+    for side in (1, 2):
+        k = len(layout.group_indices(side))
+        q = rng.standard_normal((1, 20, k, 4))
+        q /= np.linalg.norm(q, axis=-1, keepdims=True)
+        forms = capacity._side_forms(st.density().matrix, spec, layout, side)
+        values, _ = capacity._EntropyObjective(forms[None])(q)
+        for row, value in zip(q[0], values[0]):
+            zeta = side_state_full_register(st, spec, side,
+                                            [quaternion_unitary(qj) for qj in row])
+            assert abs(value - von_neumann_entropy(zeta)) < 1e-12
+
+
+def test_cached_constants_are_read_only_and_stages_bounded(monkeypatch):
+    assert not capacity._start_quaternions(16, 1).flags.writeable
+    assert not capacity._unit_products(2).flags.writeable
+    monkeypatch.setattr(capacity, "STAGE_CACHE_SIZE", 2)
+    monkeypatch.setattr(capacity, "_stage_cache", {})
+    rho = GHZ.density().matrix
+    specs = [ChannelSpec.amplitude_damping(g, 1.0 - g) for g in (0.1, 0.2, 0.3)]
+    first = [capacity._side_forms(rho, spec, LAYOUT, 1) for spec in specs]
+    assert len(capacity._stage_cache) == 2
+    # an evicted stage is rebuilt to the same forms
+    assert np.array_equal(capacity._side_forms(rho, specs[0], LAYOUT, 1), first[0])
+    assert len(capacity._stage_cache) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +556,7 @@ def test_encoding_params_cover_su2():
 
 
 def test_quaternion_readout():
-    # U = w - i(x s_x + y s_y + z s_z) must come back from its parameters
+    # quaternion_unitary(q) must come back from its parameters
     rng = np.random.default_rng(20141222)
     qs = [q / np.linalg.norm(q) for q in rng.standard_normal((200, 4))]
     c, s = math.cos(0.7), math.sin(0.7)
@@ -520,8 +564,7 @@ def test_quaternion_readout():
                                  (0.0, 0.0, -1.0, 0.0), (c, 0.0, 0.0, s),   # a = 1
                                  (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0))]
     for q in qs + [-q for q in qs]:
-        w, x, y, z = q
-        want = w * SIGMA[0] - 1j * (x * SIGMA[1] + y * SIGMA[2] + z * SIGMA[3])
+        want = quaternion_unitary(q)
         got = _params_from_quaternion(q).matrix()
         assert np.abs(got - want).max() < 1e-12
 

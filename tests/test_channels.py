@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from densecode import channels
+from densecode.capacity import OptConfig, covariant_chi, noisy_locc_bound
 from densecode.channels import (SIGMA, ChannelSpec, KrausSet, apply_channel,
                                 apply_kraus_matrix, channel_to_string,
                                 check_covariance, kraus_for, marginal_kraus,
@@ -257,9 +258,21 @@ def test_marginal_kraus_matches_full_channel(text):
 
 def test_general_pauli_needs_single_qubit_groups():
     layout6 = RegisterLayout.split(4)
-    q = np.full((4, 4), 1 / 16)
+    spec = ChannelSpec.pauli_general(np.full((4, 4), 1 / 16))
     with pytest.raises(ValueError):
-        kraus_for(ChannelSpec.pauli_general(q), layout6)
+        kraus_for(spec, layout6)
+    # split(3) has a two-qubit group on side 1: the marginal channel of
+    # either side and both bounds refuse it with kraus_for's error
+    layout5 = RegisterLayout.split(3)
+    st = haar_random_pure(5, RngSeed(99, 0), layout5)
+    cfg = OptConfig(parameterization="product")
+    one_qubit = "exactly one sender qubit per receiver group"
+    for side in (1, 2):
+        with pytest.raises(ValueError, match=one_qubit):
+            marginal_kraus(spec, layout5, side)
+    for bound in (noisy_locc_bound, covariant_chi):
+        with pytest.raises(ValueError, match=one_qubit):
+            bound(st, spec, cfg)
 
 
 def test_correlated_pauli_multi_sender():
