@@ -85,19 +85,15 @@ class OptConfig:
 
     ``starts`` fixed starting encodings (the identity first) descend until
     every one has a gradient norm below ``grad_tol`` bits per radian of
-    rotation, or for at most ``max_steps`` steps. ``parameterization`` is "single" (one qubit
-    per sender group, the reference case) or "product" (an independent 2x2
-    unitary per qubit of a multi-qubit group).
+    rotation, or for at most ``max_steps`` steps. A sender group of k qubits
+    is encoded by k independent 2x2 unitaries, one per qubit.
     """
 
     starts: int = 16
     max_steps: int = 400
     grad_tol: float = 1e-7
-    parameterization: str = "single"
 
     def __post_init__(self):
-        if self.parameterization not in ("single", "product"):
-            raise ValueError(f"unknown parameterization {self.parameterization!r}")
         for name in ("starts", "max_steps", "grad_tol"):
             value = getattr(self, name)
             if not value > 0:
@@ -153,7 +149,6 @@ class BoundReport:
     entropy_side2: float
     minimizer_side1: tuple
     minimizer_side2: tuple
-    parameterization: str = "single"
     diagnostics: tuple = (None, None)
 
 
@@ -183,24 +178,24 @@ class Ensemble:
 # capacity formulas that need no optimization
 # ---------------------------------------------------------------------------
 
-def global_capacity(state, layout: RegisterLayout | None = None) -> float:
+def global_capacity(state) -> float:
     """Capacity with both receivers decoding jointly:
     log d_S + S(rho^{R1 R2}) - S(rho), in bits.
 
     The raw formula value is returned without clamping; the classical
     threshold is log d_S = number of sender qubits.
     """
-    layout = (layout or state.layout).require_protocol()
+    layout = state.layout.require_protocol()
     rho = as_density_matrix(state)
     receivers = sorted((layout.receiver_index(1), layout.receiver_index(2)))
     s_r = von_neumann_entropy(partial_trace_matrix(rho, receivers, layout.n_qubits))
     return layout.n_senders + s_r - von_neumann_entropy(rho)
 
 
-def ensemble_chi(ensemble: Ensemble, layout: RegisterLayout | None = None) -> float:
+def ensemble_chi(ensemble: Ensemble) -> float:
     """LOCC accessible-information bound evaluated on an explicit ensemble:
     S(xi^1) + S(xi^2) - max_x sum_i p_i S(xi^x_i)."""
-    layout = (layout or ensemble.members[0][1].layout).require_protocol()
+    layout = ensemble.members[0][1].layout.require_protocol()
     n = layout.n_qubits
     sides = (list(layout.side_indices(1)), list(layout.side_indices(2)))
     avg = [None, None]
@@ -238,7 +233,7 @@ def _marginal_entropy(rho: np.ndarray, layout: RegisterLayout, keep) -> float:
     return von_neumann_entropy(partial_trace_matrix(rho, list(keep), layout.n_qubits))
 
 
-def _assemble_report(layout, s_r1, s_r2, sides, parameterization) -> BoundReport:
+def _assemble_report(layout, s_r1, s_r2, sides) -> BoundReport:
     (s1, m1, d1), (s2, m2, d2) = sides
     which = 1 if s1 >= s2 else 2
     term_min = s1 if which == 1 else s2
@@ -248,21 +243,19 @@ def _assemble_report(layout, s_r1, s_r2, sides, parameterization) -> BoundReport
         term_S_R1=s_r1, term_S_R2=s_r2, term_min_entropy=term_min,
         which_side=which, minimizer=(m1 if which == 1 else m2),
         n_sender_qubits=n_send, entropy_side1=s1, entropy_side2=s2,
-        minimizer_side1=m1, minimizer_side2=m2,
-        parameterization=parameterization, diagnostics=(d1, d2))
+        minimizer_side1=m1, minimizer_side2=m2, diagnostics=(d1, d2))
 
 
-def locc_bound_noiseless(state: PureState,
-                         layout: RegisterLayout | None = None) -> BoundReport:
+def locc_bound_noiseless(state: PureState) -> BoundReport:
     """Noiseless LOCC bound of a pure state: log d_S + S(rho^{R1}) +
     S(rho^{R2}) - max_x S(rho^x), exact; unitary encodings do not change the
     side entropies without noise, so the minimizer is the identity."""
-    layout = (layout or state.layout).require_protocol()
+    layout = state.layout.require_protocol()
     s_r1, s_r2, *sides = (float(s[0]) for s in _noiseless_entropies(
         CutSpectra.of(state.amplitudes, layout)))
     sides = [(s, tuple(IDENTITY_ENCODING for _ in layout.group_indices(side)), None)
              for side, s in zip((1, 2), sides)]
-    return _assemble_report(layout, s_r1, s_r2, sides, "single")
+    return _assemble_report(layout, s_r1, s_r2, sides)
 
 
 def noiseless_bounds(spectra: CutSpectra) -> np.ndarray:
@@ -546,9 +539,6 @@ def _side_minima(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
             found[side] = (_marginal_entropy(rho, layout, layout.side_indices(side)),
                            (), None)
             continue
-        if len(group) > 1 and cfg.parameterization == "single":
-            raise ValueError("sender group has more than one qubit; pass an OptConfig "
-                             "with parameterization='product'")
         t0 = time.perf_counter()
         forms = _side_forms(rho, spec, layout, side)
         batches.setdefault(len(group), []).append(
@@ -573,7 +563,7 @@ def _side_minima(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
 
 
 def min_output_entropy(state, spec: ch.ChannelSpec, side: int,
-                       cfg: OptConfig | None = None):
+                       cfg: OptConfig = DEFAULT_OPT):
     """Minimum entropy of the side-``side`` state after encoding and noise,
     min over sender-local unitaries of S(zeta^side).
 
@@ -584,8 +574,7 @@ def min_output_entropy(state, spec: ch.ChannelSpec, side: int,
         qubit of the side's sender group.
     """
     layout = state.layout.require_protocol()
-    [(val, params, _)] = _side_minima(as_density_matrix(state), spec, layout, [side],
-                                      cfg or DEFAULT_OPT)
+    [(val, params, _)] = _side_minima(as_density_matrix(state), spec, layout, [side], cfg)
     return val, params
 
 
@@ -595,21 +584,21 @@ def _noisy_bound(state, spec: ch.ChannelSpec, cfg: OptConfig) -> BoundReport:
     s_r1, s_r2 = (_marginal_entropy(rho, layout, [layout.receiver_index(x)])
                   for x in (1, 2))
     sides = _side_minima(rho, spec, layout, (1, 2), cfg)
-    return _assemble_report(layout, s_r1, s_r2, sides, cfg.parameterization)
+    return _assemble_report(layout, s_r1, s_r2, sides)
 
 
 def noisy_locc_bound(state, spec: ch.ChannelSpec,
-                     cfg: OptConfig | None = None) -> BoundReport:
+                     cfg: OptConfig = DEFAULT_OPT) -> BoundReport:
     """Upper bound on the LOCC dense-coding capacity under a noisy channel:
     log d_S + S(rho^{R1}) + S(rho^{R2}) - max_x S(zeta^x)."""
-    return _noisy_bound(state, spec, cfg or DEFAULT_OPT)
+    return _noisy_bound(state, spec, cfg)
 
 
 COVARIANCE_GATE = 1e-8
 
 
 def covariant_chi(state, spec: ch.ChannelSpec,
-                  cfg: OptConfig | None = None) -> BoundReport:
+                  cfg: OptConfig = DEFAULT_OPT) -> BoundReport:
     """The covariant-channel capacity bound chi.
 
     Requires a covariant channel (checked), for which the bound holds with
@@ -621,7 +610,7 @@ def covariant_chi(state, spec: ch.ChannelSpec,
     dev = ch.check_covariance(spec, layout=layout)
     if dev >= COVARIANCE_GATE:
         raise ValueError(f"channel is not covariant: max deviation {dev:.3e}")
-    return _noisy_bound(state, spec, cfg or DEFAULT_OPT)
+    return _noisy_bound(state, spec, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -270,27 +270,13 @@ def apply_kraus_matrix(mat: np.ndarray, operators, targets, n: int) -> np.ndarra
     return out
 
 
-def apply_channel(rho: DensityOp, spec: ChannelSpec,
-                  targets=None) -> DensityOp:
-    """Send the senders' shares of ``rho`` through the channel.
-
-    ``targets`` defaults to all sender qubits; explicitly naming a receiver
-    qubit is an error, since noise acts only on the transmitted shares.
-    """
+def apply_channel(rho: DensityOp, spec: ChannelSpec) -> DensityOp:
+    """Send the senders' shares of ``rho`` through the channel: the Kraus
+    set of :func:`kraus_for` acts on every sender qubit, and the receivers'
+    qubits are left alone."""
     layout = rho.layout.require_protocol()
-    senders = set(layout.sender_indices)
-    if targets is None:
-        targets = layout.sender_indices
-    else:
-        targets = tuple(sorted(targets))
-        bad = [t for t in targets if t not in senders]
-        if bad:
-            roles = [layout.roles[t] for t in bad]
-            raise ValueError(f"channel may not target receiver qubits {roles}")
-        if set(targets) != senders:
-            raise ValueError("channel targets must cover the full sender space")
-    kset = kraus_for(spec, layout)
-    out = apply_kraus_matrix(rho.matrix, kset.operators, list(targets), layout.n_qubits)
+    out = apply_kraus_matrix(rho.matrix, kraus_for(spec, layout).operators,
+                             list(layout.sender_indices), layout.n_qubits)
     return DensityOp(out, layout)
 
 
@@ -302,10 +288,13 @@ def pauli_basis(k: int) -> list[np.ndarray]:
     return [tensor(*[SIGMA[m] for m in combo]) for combo in product(range(4), repeat=k)]
 
 
-def _probe_states(dim: int, count: int, seed: int = 20240901) -> list[np.ndarray]:
-    gen = np.random.default_rng(seed)
+_PROBE_SEED, _PROBE_COUNT = 20240901, 8
+
+
+def _probe_states(dim: int) -> list[np.ndarray]:
+    gen = np.random.default_rng(_PROBE_SEED)
     probes = []
-    for _ in range(count):
+    for _ in range(_PROBE_COUNT):
         v = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
         v /= np.linalg.norm(v)
         probes.append(np.outer(v, v.conj()))
@@ -318,61 +307,52 @@ def _channel_key(spec: ChannelSpec, layout: RegisterLayout) -> tuple:
             layout.roles, tuple(sorted(layout.routing.items())))
 
 
-# memo of check_covariance for the default basis, oldest entry evicted first
+# memo of check_covariance, oldest entry evicted first
 _covariance_cache: dict = {}
 COVARIANCE_CACHE_SIZE = 256
 
 
-def check_covariance(spec: ChannelSpec, basis=None,
-                     layout: RegisterLayout | None = None,
-                     n_probes: int = 8) -> float:
+def check_covariance(spec: ChannelSpec,
+                     layout: RegisterLayout | None = None) -> float:
     """Largest violation of the covariance condition
-    Lambda(W rho W^dag) = W Lambda(rho) W^dag.
+    Lambda(W rho W^dag) = W Lambda(rho) W^dag over the Pauli basis W of the
+    sender space (``layout`` defaults to ``RegisterLayout.split(2)``).
 
     Probes every basis element against a fixed random set of pure-state
     density matrices and returns the max absolute entry deviation. The value
-    is a diagnostic: ~0 means covariant. Results for the default basis are
-    memoized (the probe set is fixed, so the value is deterministic), for at
-    most ``COVARIANCE_CACHE_SIZE`` channels.
+    is a diagnostic: ~0 means covariant. Results are memoized (the probe set
+    is fixed, so the value is deterministic), for at most
+    ``COVARIANCE_CACHE_SIZE`` channels.
     """
     layout = layout if layout is not None else RegisterLayout.split(2)
-    key = _channel_key(spec, layout) + (n_probes,) if basis is None else None
-    if key is not None and key in _covariance_cache:
+    key = _channel_key(spec, layout)
+    if key in _covariance_cache:
         return _covariance_cache[key]
     kset = kraus_for(spec, layout)
-    d = kset.dim
-    if basis is None:
-        basis = pauli_basis(len(layout.sender_indices))
-    if basis[0].shape != (d, d):
-        raise ValueError("basis dimension does not match the channel")
+    basis = pauli_basis(len(layout.sender_indices))
 
     def lam(x):
         return sum(k @ x @ dag(k) for k in kset.operators)
 
     dev = 0.0
-    for rho in _probe_states(d, n_probes):
+    for rho in _probe_states(kset.dim):
         lam_rho = lam(rho)
         for w in basis:
             lhs = lam(w @ rho @ dag(w))
             rhs = w @ lam_rho @ dag(w)
             dev = max(dev, float(np.abs(lhs - rhs).max()))
-    if key is not None:
-        if len(_covariance_cache) >= COVARIANCE_CACHE_SIZE:
-            del _covariance_cache[next(iter(_covariance_cache))]
-        _covariance_cache[key] = dev
+    if len(_covariance_cache) >= COVARIANCE_CACHE_SIZE:
+        del _covariance_cache[next(iter(_covariance_cache))]
+    _covariance_cache[key] = dev
     return dev
 
 
-def twirl(rho: DensityOp, targets=None) -> DensityOp:
-    """Average ``rho`` over the complete Pauli basis on ``targets``
-    (default: all senders), projecting those qubits to the maximally mixed
-    state while leaving the remaining marginal untouched."""
+def twirl(rho: DensityOp) -> DensityOp:
+    """Average ``rho`` over the complete Pauli basis on all sender qubits,
+    projecting them to the maximally mixed state while leaving the
+    receivers' marginal untouched."""
     layout = rho.layout
-    if targets is None:
-        targets = layout.require_protocol().sender_indices
-    targets = sorted(targets)
-    if not targets or min(targets) < 0 or max(targets) >= layout.n_qubits:
-        raise ValueError(f"invalid twirl targets {targets}")
+    targets = list(layout.require_protocol().sender_indices)
     basis = pauli_basis(len(targets))
     acc = None
     for w in basis:

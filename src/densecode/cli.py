@@ -30,12 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (DEFAULT_OPT, BoundReport, OptConfig, OptimizationError,
-                       SearchDiagnostics, closed_form_ghz_bound, covariant_chi,
-                       global_capacity, locc_bound_noiseless, noisy_locc_bound,
-                       noiseless_bounds)
-from .channels import ChannelSpec, PAULI, parse_channel
-from .ggm import CutSpectra, above_gghz_line, ggm, theorem2_flags
+from .capacity import (BoundReport, OptimizationError, SearchDiagnostics,
+                       closed_form_ghz_bound, global_capacity, locc_bound_noiseless,
+                       noisy_locc_bound, noiseless_bounds)
+from .channels import ChannelSpec, parse_channel
+from .ggm import TIE_ATOL, CutSpectra, above_gghz_line, ggm, theorem2_flags
 from .qcore import PureState, RegisterLayout
 from .states import (GghzParams, RngSeed, StateFormatError, haar_amplitudes,
                      load_state, make_gghz, make_ghz)
@@ -47,7 +46,6 @@ EXIT_NUMERIC = 3
 HAAR_COLUMNS = ["state_id", "ggm", "bound_bits", "cond_i", "cond_ii",
                 "swapped_i", "swapped_ii", "above_gghz_line", "argmax_cut"]
 LINE_POINTS = 257
-LINE_TOL = 1e-9
 
 
 def _fmt(x: float) -> str:
@@ -67,7 +65,8 @@ class GghzLine:
     """Bound of the two-term family as a function of its GGM E = 1 - m.
 
     Noiseless the curve is exact (bound = 2 + H(1 - E)); under a channel it
-    is tabulated on a dense E grid and interpolated.
+    is tabulated by ``noisy_locc_bound`` at ``LINE_POINTS`` values of E and
+    interpolated.
     """
 
     noiseless: bool
@@ -75,19 +74,13 @@ class GghzLine:
     bound_grid: np.ndarray | None = None
 
     @classmethod
-    def build(cls, spec: ChannelSpec, opt: OptConfig = DEFAULT_OPT,
-              points: int = LINE_POINTS) -> "GghzLine":
+    def build(cls, spec: ChannelSpec) -> "GghzLine":
         if spec.is_identity:
             return cls(noiseless=True)
         layout = _layout4()
-        m_vals = np.linspace(0.5, 1.0, points)
-        bounds = np.empty(points)
-        covariant = spec.family == PAULI
-        for i, m in enumerate(m_vals):
-            st = make_gghz(GghzParams(p=float(m)), layout)
-            rep = (covariant_chi(st, spec, opt) if covariant
-                   else noisy_locc_bound(st, spec, opt))
-            bounds[i] = rep.bound_bits
+        m_vals = np.linspace(0.5, 1.0, LINE_POINTS)
+        bounds = np.array([noisy_locc_bound(make_gghz(GghzParams(p=float(m)), layout),
+                                            spec).bound_bits for m in m_vals])
         e = 1.0 - m_vals[::-1]          # ascending E in [0, 1/2]
         return cls(noiseless=False, e_grid=e, bound_grid=bounds[::-1].copy())
 
@@ -99,16 +92,14 @@ class GghzLine:
         """On or above the curve: the state's bound does not exceed the
         family's bound at equal entanglement."""
         if self.noiseless:
-            return above_gghz_line(ggm_value, bound_bits, LINE_TOL)
-        return bound_bits <= self.bound_at(ggm_value) + LINE_TOL
+            return above_gghz_line(ggm_value, bound_bits)
+        return bound_bits <= self.bound_at(ggm_value) + TIE_ATOL
 
 
-def _bound_for(state, spec: ChannelSpec, opt: OptConfig) -> BoundReport:
+def _bound_for(state, spec: ChannelSpec) -> BoundReport:
     if spec.is_identity:
         return locc_bound_noiseless(state)
-    if spec.family == PAULI:
-        return covariant_chi(state, spec, opt)
-    return noisy_locc_bound(state, spec, opt)
+    return noisy_locc_bound(state, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +118,7 @@ def _haar_chunk(task) -> list[list[str]]:
     if spec.is_identity:
         bounds = noiseless_bounds(spectra)
     else:
-        bounds = [_bound_for(PureState(a, layout), spec, DEFAULT_OPT).bound_bits
-                  for a in amps]
+        bounds = [noisy_locc_bound(PureState(a, layout), spec).bound_bits for a in amps]
     return [[str(sid), _fmt(value), _fmt(bound)] + [str(f) for f in row_flags]
             + [str(int(line.above(float(value), float(bound)))), labels[cut]]
             for sid, value, bound, row_flags, cut
@@ -218,7 +208,7 @@ def run_gghz_curve(points: int, channel: str, out_path: str) -> None:
         writer.writerow(["m", "ggm", "bound_bits"])
         for m in np.linspace(0.5, 1.0, points):
             st = make_gghz(GghzParams(p=float(m)), layout)
-            rep = _bound_for(st, spec, DEFAULT_OPT)
+            rep = _bound_for(st, spec)
             writer.writerow([_fmt(m), _fmt(1.0 - m), _fmt(rep.bound_bits)])
 
 
@@ -229,41 +219,36 @@ def run_channel_scan(family: str, points: int | None, seed: int,
     ``ad``/``pd`` sweep the damping strength over [0, 1]; ``pauli`` draws
     random weight vectors from the probability simplex.
     """
-    ghz = make_ghz(4, _layout4())
-    rows = []
+    # (leading CSV cells, channel) per row
     if family in ("ad", "pd"):
-        points = points if points is not None else 11
         make = (ChannelSpec.amplitude_damping if family == "ad"
                 else ChannelSpec.phase_damping)
-        header = ["param", "numeric_bound", "closed_form_bound", "minimizer_a",
-                  "abs_deviation"]
-        for t in np.linspace(0.0, 1.0, points):
-            spec = make(float(t), float(t))
-            rep = noisy_locc_bound(ghz, spec, DEFAULT_OPT)
-            closed = closed_form_ghz_bound(spec)
-            a = rep.minimizer[0].a if rep.minimizer else 1.0
-            rows.append([_fmt(t), _fmt(rep.bound_bits), _fmt(closed), _fmt(a),
-                         _fmt(abs(rep.bound_bits - closed))])
+        header = ["param"]
+        cases = [([_fmt(t)], make(float(t), float(t)))
+                 for t in np.linspace(0.0, 1.0, points if points is not None else 11)]
     elif family == "pauli":
-        points = points if points is not None else 50
         gen = np.random.default_rng(seed)
-        header = ["draw", "q0", "q1", "q2", "q3", "numeric_bound",
-                  "closed_form_bound", "minimizer_a", "abs_deviation"]
-        for i in range(points):
+        header = ["draw", "q0", "q1", "q2", "q3"]
+        cases = []
+        for i in range(points if points is not None else 50):
             q = gen.dirichlet(np.ones(4))
-            spec = ChannelSpec.pauli_correlated(q / q.sum())
-            rep = covariant_chi(ghz, spec, DEFAULT_OPT)
-            closed = closed_form_ghz_bound(spec)
-            a = rep.minimizer[0].a if rep.minimizer else 1.0
-            rows.append([str(i)] + [_fmt(v) for v in q]
-                        + [_fmt(rep.bound_bits), _fmt(closed), _fmt(a),
-                           _fmt(abs(rep.bound_bits - closed))])
+            cases.append(([str(i)] + [_fmt(v) for v in q],
+                          ChannelSpec.pauli_correlated(q / q.sum())))
     else:
         raise ValueError(f"channel-scan family must be ad, pd, or pauli, "
                          f"got {family!r}")
+    ghz = make_ghz(4, _layout4())
+    rows = []
+    for lead, spec in cases:
+        rep = noisy_locc_bound(ghz, spec)
+        closed = closed_form_ghz_bound(spec)
+        a = rep.minimizer[0].a if rep.minimizer else 1.0
+        rows.append(lead + [_fmt(rep.bound_bits), _fmt(closed), _fmt(a),
+                            _fmt(abs(rep.bound_bits - closed))])
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(header + ["numeric_bound", "closed_form_bound", "minimizer_a",
+                                  "abs_deviation"])
         writer.writerows(rows)
 
 
@@ -294,7 +279,7 @@ def run_bound(state_arg: str, channel: str, write=print) -> BoundReport:
     write(f"channel: {channel}")
     write(f"global_capacity_bits: {_fmt(global_capacity(state))}")
     write(f"classical_threshold_bits: {_fmt(state.layout.n_senders)}")
-    rep = _bound_for(state, spec, DEFAULT_OPT)
+    rep = _bound_for(state, spec)
     label = "noiseless_bound" if spec.is_identity else "noisy_bound"
     write(f"{label}_bits: {_fmt(rep.bound_bits)}")
     write(f"term_S_R1_bits: {_fmt(rep.term_S_R1)}")

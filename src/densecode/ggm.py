@@ -143,11 +143,10 @@ def theorem2_flags(spectra: CutSpectra) -> np.ndarray:
                      s["R2"] <= s["S2 R2"] + TIE_ATOL, lam["R1"] >= top], axis=1)
 
 
-def theorem2_conditions(state: PureState,
-                        layout: RegisterLayout | None = None) -> Theorem2Flags:
+def theorem2_conditions(state: PureState) -> Theorem2Flags:
     """Evaluate the ordering conditions on a four-party state with roles
     S1, S2, R1, R2."""
-    flags = theorem2_flags(CutSpectra.of(state.amplitudes, layout or state.layout))
+    flags = theorem2_flags(CutSpectra.of(state.amplitudes, state.layout))
     return Theorem2Flags(*map(bool, flags[0]))
 
 
@@ -171,14 +170,13 @@ def gghz_ggm_at_capacity(bound_bits: float) -> float:
     return 1.0 - 0.5 * (lo + hi)
 
 
-def above_gghz_line(ggm_value: float, bound_bits: float,
-                    atol: float = TIE_ATOL) -> bool:
+def above_gghz_line(ggm_value: float, bound_bits: float) -> bool:
     """Whether the point (bound, GGM) lies on or above the two-term reference
-    curve in the noiseless plane.
+    curve in the noiseless plane, ties within 1e-9 counting as on it.
 
     Uses the equivalent form bound <= 2 + H(1 - E), which is defined for
     every GGM value in [0, 1/2] (bounds above 3 bits fall below the line,
     which ends at (3, 1/2)).
     """
     e = min(max(ggm_value, 0.0), 0.5)
-    return bound_bits <= 2.0 + binary_entropy(1.0 - e) + atol
+    return bound_bits <= 2.0 + binary_entropy(1.0 - e) + TIE_ATOL

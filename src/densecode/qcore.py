@@ -53,6 +53,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 # register layout
 # ---------------------------------------------------------------------------
 
+def half_routing(sender_tags: Sequence[str]) -> dict[str, str]:
+    """The canonical routing of k senders: the first ceil(k/2), in the order
+    given, to R1 and the rest to R2."""
+    half = (len(sender_tags) + 1) // 2
+    return {s: ("R1" if i < half else "R2") for i, s in enumerate(sender_tags)}
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Role assignment for an ordered qubit register.
@@ -87,18 +94,13 @@ class RegisterLayout:
                 raise ValueError(f"routing target {r!r} is not a receiver in {roles}")
 
     @classmethod
-    def split(cls, n_senders: int, n_to_r1: int | None = None) -> "RegisterLayout":
-        """Canonical protocol layout S1..Sk, R1, R2 with the first
-        ``n_to_r1`` senders (default: half, rounded up) routed to R1."""
+    def split(cls, n_senders: int) -> "RegisterLayout":
+        """Canonical protocol layout S1..Sk, R1, R2 with the
+        :func:`half_routing` of its senders."""
         if n_senders < 0:
             raise ValueError("n_senders must be >= 0")
-        if n_to_r1 is None:
-            n_to_r1 = (n_senders + 1) // 2
-        if not 0 <= n_to_r1 <= n_senders:
-            raise ValueError("n_to_r1 out of range")
         tags = tuple(f"S{i + 1}" for i in range(n_senders))
-        routing = {t: ("R1" if i < n_to_r1 else "R2") for i, t in enumerate(tags)}
-        return cls(roles=tags + ("R1", "R2"), routing=routing)
+        return cls(roles=tags + RECEIVER_TAGS, routing=half_routing(tags))
 
     @property
     def n_qubits(self) -> int:

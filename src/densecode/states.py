@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import NORM_ATOL, PureState, RegisterLayout
+from .qcore import (NORM_ATOL, RECEIVER_TAGS, PureState, RegisterLayout,
+                    half_routing)
 
 
 @dataclass(frozen=True)
@@ -128,14 +129,11 @@ def save_state(state: PureState) -> str:
 
 
 def _routing_for(roles: tuple[str, ...]) -> dict[str, str]:
-    # The file format carries roles only; senders are routed half to R1
-    # (first ceil(k/2) in register order) and the rest to R2.
-    senders = [r for r in roles if r not in ("R1", "R2")]
-    receivers = [r for r in roles if r in ("R1", "R2")]
-    if sorted(receivers) != ["R1", "R2"]:
+    # The file format carries roles only; senders get the canonical routing
+    # in register order.
+    if sorted(r for r in roles if r in RECEIVER_TAGS) != list(RECEIVER_TAGS):
         return {}
-    n_to_r1 = (len(senders) + 1) // 2
-    return {s: ("R1" if i < n_to_r1 else "R2") for i, s in enumerate(senders)}
+    return half_routing([r for r in roles if r not in RECEIVER_TAGS])
 
 
 def load_state(text: str) -> PureState:

@@ -23,9 +23,6 @@ from oracles import side_state_full_register
 LAYOUT = RegisterLayout.split(2)
 GHZ = make_ghz(4, LAYOUT)
 
-# the settings of property loops; the minimum is exact for flat objectives
-QUICK = DEFAULT_OPT
-
 
 def ad_closed_form_entropy(gamma: float) -> float:
     return 1.0 + binary_entropy(0.5 * (1.0 - math.sqrt(1.0 - gamma + gamma * gamma)))
@@ -137,7 +134,7 @@ def test_min_entropy_ad_half():
 
 def test_min_entropy_pd_any_p():
     for p in (0.2, 0.4, 0.9):
-        val, mins = min_output_entropy(GHZ, ChannelSpec.phase_damping(p, p), 1, QUICK)
+        val, mins = min_output_entropy(GHZ, ChannelSpec.phase_damping(p, p), 1, DEFAULT_OPT)
         assert abs(val - 1.0) < 1e-9
         assert min(mins[0].a, 1.0 - mins[0].a) < 1e-6
 
@@ -176,8 +173,8 @@ def test_min_entropy_symmetric_channel_sides_agree():
     specs = [ChannelSpec.amplitude_damping(0.4, 0.4),
              ChannelSpec.pauli_correlated([0.8, 0.05, 0.1, 0.05])]
     for spec in specs:
-        s1, _ = min_output_entropy(GHZ, spec, 1, QUICK)
-        s2, _ = min_output_entropy(GHZ, spec, 2, QUICK)
+        s1, _ = min_output_entropy(GHZ, spec, 1, DEFAULT_OPT)
+        s2, _ = min_output_entropy(GHZ, spec, 2, DEFAULT_OPT)
         assert abs(s1 - s2) < 1e-10
 
 
@@ -190,21 +187,15 @@ def test_min_entropy_soundness_probes():
     spec = ChannelSpec.pauli_correlated([0.7, 0.12, 0.1, 0.08])
     for sid in range(3):
         st = haar_random_pure(4, RngSeed(700, sid), LAYOUT)
-        val, _ = min_output_entropy(st, spec, 1, QUICK)
+        val, _ = min_output_entropy(st, spec, 1, DEFAULT_OPT)
         vals = np.array([entropy_numeric(st, spec, 1, EncodingUnitaryParams(*p))
                          for p in probes])
         assert val <= vals.min() + 1e-9
 
 
-def test_min_entropy_rejects_multi_qubit_group_without_config():
-    ghz6 = make_ghz(6, RegisterLayout.split(4))
-    with pytest.raises(ValueError, match="product"):
-        min_output_entropy(ghz6, ChannelSpec.identity(), 1)
-
-
 def test_min_entropy_product_parameterization_identity():
     ghz6 = make_ghz(6, RegisterLayout.split(4))
-    cfg = OptConfig(parameterization="product", starts=4)
+    cfg = OptConfig(starts=4)
     val, mins = min_output_entropy(ghz6, ChannelSpec.identity(), 1, cfg)
     keep = list(ghz6.layout.side_indices(1))
     want = von_neumann_entropy(partial_trace_matrix(
@@ -258,7 +249,7 @@ def test_covariant_chi_identity_equals_noiseless():
     rng = np.random.default_rng(34)
     for sid in range(5):
         st = haar_random_pure(4, RngSeed(800, sid), LAYOUT)
-        chi = covariant_chi(st, ChannelSpec.identity(), QUICK)
+        chi = covariant_chi(st, ChannelSpec.identity(), DEFAULT_OPT)
         plain = locc_bound_noiseless(st)
         assert abs(chi.bound_bits - plain.bound_bits) < 1e-9
 
@@ -290,7 +281,7 @@ def test_noisy_report_identity_and_ensemble_ordering():
     # explicit uniform-Pauli ensemble value never exceeds the bound
     for spec in (ChannelSpec.pauli_correlated([0.93, 0.01, 0.02, 0.04]),
                  ChannelSpec.amplitude_damping(0.4, 0.4)):
-        rep = noisy_locc_bound(GHZ, spec, QUICK)
+        rep = noisy_locc_bound(GHZ, spec, DEFAULT_OPT)
         want = rep.n_sender_qubits + rep.term_S_R1 + rep.term_S_R2 \
             - rep.term_min_entropy
         assert rep.bound_bits == want
@@ -504,7 +495,7 @@ def test_encoding_params_validation():
 
 def test_opt_config_rejects_non_positive_settings():
     for bad in (dict(starts=0), dict(max_steps=0), dict(grad_tol=0.0),
-                dict(grad_tol=-1e-9), dict(parameterization="full")):
+                dict(grad_tol=-1e-9)):
         with pytest.raises(ValueError):
             OptConfig(**bad)
 
@@ -594,13 +585,12 @@ def test_unequal_sender_groups_descend_apart(rows_evaluated):
     assert [len(layout.group_indices(x)) for x in (1, 2)] == [2, 1]
     st = haar_random_pure(5, RngSeed(99, 0), layout)
     spec = parse_channel("ad:0.4,0.7")
-    cfg = OptConfig(parameterization="product")
-    rep = noisy_locc_bound(st, spec, cfg)
+    rep = noisy_locc_bound(st, spec)
     # one objective per group size, side 1's batch first
     assert_evaluations_counted(rep.diagnostics, np.concatenate(list(rows_evaluated.values())))
     for side, value, diag in ((1, rep.entropy_side1, rep.diagnostics[0]),
                               (2, rep.entropy_side2, rep.diagnostics[1])):
-        alone, _ = min_output_entropy(st, spec, side, cfg)
+        alone, _ = min_output_entropy(st, spec, side)
         assert abs(value - alone) < 1e-10
         assert diag.final_value == value
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from densecode import channels
-from densecode.capacity import OptConfig, covariant_chi, noisy_locc_bound
+from densecode.capacity import covariant_chi, noisy_locc_bound
 from densecode.channels import (SIGMA, ChannelSpec, KrausSet, apply_channel,
                                 apply_kraus_matrix, channel_to_string,
                                 check_covariance, kraus_for, marginal_kraus,
@@ -149,12 +149,6 @@ def test_ghz_through_ad_four_term_expression():
     assert np.abs(out.matrix - want).max() < 1e-12
 
 
-def test_apply_channel_rejects_receiver_targets():
-    ghz = make_ghz(4, LAYOUT).density()
-    with pytest.raises(ValueError, match="receiver"):
-        apply_channel(ghz, ChannelSpec.phase_damping(0.3, 0.3), targets=[0, 2])
-
-
 def test_channel_preserves_trace_and_positivity():
     rng = np.random.default_rng(23)
     specs = [ChannelSpec.amplitude_damping(0.3, 0.7),
@@ -265,14 +259,13 @@ def test_general_pauli_needs_single_qubit_groups():
     # either side and both bounds refuse it with kraus_for's error
     layout5 = RegisterLayout.split(3)
     st = haar_random_pure(5, RngSeed(99, 0), layout5)
-    cfg = OptConfig(parameterization="product")
     one_qubit = "exactly one sender qubit per receiver group"
     for side in (1, 2):
         with pytest.raises(ValueError, match=one_qubit):
             marginal_kraus(spec, layout5, side)
     for bound in (noisy_locc_bound, covariant_chi):
         with pytest.raises(ValueError, match=one_qubit):
-            bound(st, spec, cfg)
+            bound(st, spec)
 
 
 def test_correlated_pauli_multi_sender():

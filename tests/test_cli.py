@@ -159,8 +159,7 @@ def test_channel_scan_rejects_unknown_family(tmp_path):
 
 def test_gghz_line_noisy_interpolation():
     from densecode.channels import parse_channel
-    line = GghzLine.build(parse_channel("pauli:0.485,0.015,0.015,0.485"),
-                          points=33)
+    line = GghzLine.build(parse_channel("pauli:0.485,0.015,0.015,0.485"))
     assert abs(line.bound_at(0.5) - (3.0 - binary_entropy(0.97))) < 1e-4
     assert line.bound_at(0.0) <= line.bound_at(0.5)
 
@@ -227,6 +226,18 @@ def test_state_file_input(tmp_path, capsys):
     assert main(["bound", "--state", str(path)]) == 0
     text = capsys.readouterr().out
     assert "noiseless_bound_bits: 3" in text
+
+
+def test_bound_mode_multi_qubit_sender_groups(tmp_path, capsys):
+    # six qubits, two senders per receiver: one encoding per group qubit
+    path = tmp_path / "ghz6.txt"
+    path.write_text(save_state(make_ghz(6, dc.RegisterLayout.split(4))))
+    assert main(["bound", "--state", str(path), "--channel", "ad:0.3,0.3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(x.startswith("noisy_bound_bits: ") for x in lines)
+    sides = [x.split(": ", 1)[1] for x in lines if x.startswith("minimizer_side")]
+    assert len(sides) == 2
+    assert all(len(desc.split("; ")) == 2 for desc in sides)
 
 
 def test_config_file_defaults_and_override(tmp_path):
