@@ -4,13 +4,12 @@ The quantities computed here:
 
 * ``global_capacity`` -- capacity with the receivers decoding jointly:
   log d_S + S(rho^R) - S(rho).
-* ``ensemble_chi`` -- the LOCC accessible-information bound
-  S(xi^1) + S(xi^2) - max_x sum_i p_i S(xi^x_i) for an explicit ensemble.
 * ``locc_bound_noiseless`` -- the noiseless LOCC bound
   log d_S + S(rho^{R1}) + S(rho^{R2}) - max_x S(rho^x); exact, no search.
-* ``noisy_locc_bound`` -- the noisy-channel bound with the same first three
-  terms and the last term minimized over sender-local unitary encodings, on
-  each side's reduced state with the channel's marginal Kraus set.
+* ``noisy_locc_bounds`` -- the noisy-channel bound of a block of states: the
+  same first three terms and the last term minimized over sender-local
+  unitary encodings, on each side's reduced state with the channel's
+  marginal Kraus set. ``noisy_locc_bound`` is its one-row call.
 * ``covariant_chi`` -- the same bound, for channels passing the covariance check.
 
 Encoding unitaries are reported per sender qubit as
@@ -23,8 +22,8 @@ search runs over unit quaternions q = (w, x, y, z), U = w - i(x s_x + y s_y
 + z s_z), one per sender qubit. The side state is quadratic in them:
 zeta = sum_AB qt_A qt_B D_AB, qt the Kronecker product of the quaternions,
 with the D built once per side. ``minimize`` descends on the spheres S^3
-from fixed starts, both sides of a bound in one batch, with the exact
-gradient dS/dqt_A = -2 sum_B Re tr[log2(zeta) D_AB] qt_B; the parameters are
+from fixed starts, a block's sides of one group size in one batch, with the
+exact gradient dS/dqt_A = -2 sum_B Re tr[log2(zeta) D_AB] qt_B; the parameters are
 read off q: a e^{i t1} = w - i z and sqrt(1-a^2) e^{-i t2} = -y - i x.
 """
 
@@ -42,7 +41,7 @@ import numpy as np
 
 from . import channels as ch
 from .ggm import CutSpectra
-from .qcore import (DensityOp, PureState, RegisterLayout, as_density_matrix,
+from .qcore import (PureState, RegisterLayout, as_density_matrix,
                     binary_entropy, partial_trace_matrix, tensor,
                     von_neumann_entropy)
 
@@ -113,7 +112,7 @@ class SearchDiagnostics:
     outset plus one per step a start took. ``grad_norm`` is the gradient norm
     at the reported minimizer, in bits per radian of rotation, and
     ``converged`` says it is within the tolerance. ``elapsed_s`` covers
-    building the side's objective and the descent of its batch.
+    building the side's objective and the shared descent of its block.
     """
 
     starts: int
@@ -152,28 +151,6 @@ class BoundReport:
     diagnostics: tuple = (None, None)
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """Classical mixture {p_i, rho_i} of states on one register."""
-
-    members: tuple
-
-    def __post_init__(self):
-        members = tuple((float(p), rho) for p, rho in self.members)
-        if not members:
-            raise ValueError("ensemble must not be empty")
-        probs = np.array([p for p, _ in members])
-        if probs.min() < 0:
-            raise ValueError("negative probability")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
-        roles = members[0][1].layout.roles
-        for _, rho in members:
-            if rho.layout.roles != roles:
-                raise ValueError("ensemble members must share one layout")
-        object.__setattr__(self, "members", members)
-
-
 # ---------------------------------------------------------------------------
 # capacity formulas that need no optimization
 # ---------------------------------------------------------------------------
@@ -190,43 +167,6 @@ def global_capacity(state) -> float:
     receivers = sorted((layout.receiver_index(1), layout.receiver_index(2)))
     s_r = von_neumann_entropy(partial_trace_matrix(rho, receivers, layout.n_qubits))
     return layout.n_senders + s_r - von_neumann_entropy(rho)
-
-
-def ensemble_chi(ensemble: Ensemble) -> float:
-    """LOCC accessible-information bound evaluated on an explicit ensemble:
-    S(xi^1) + S(xi^2) - max_x sum_i p_i S(xi^x_i)."""
-    layout = ensemble.members[0][1].layout.require_protocol()
-    n = layout.n_qubits
-    sides = (list(layout.side_indices(1)), list(layout.side_indices(2)))
-    avg = [None, None]
-    member_entropies = [[], []]
-    for p, rho in ensemble.members:
-        for x in (0, 1):
-            marg = partial_trace_matrix(rho.matrix, sides[x], n)
-            member_entropies[x].append(von_neumann_entropy(marg))
-            avg[x] = p * marg if avg[x] is None else avg[x] + p * marg
-    s_mix = [von_neumann_entropy(avg[x]) for x in (0, 1)]
-    probs = np.array([p for p, _ in ensemble.members])
-    avg_member = [float(probs @ np.array(member_entropies[x])) for x in (0, 1)]
-    return s_mix[0] + s_mix[1] - max(avg_member)
-
-
-def pauli_encoded_ensemble(state, spec: ch.ChannelSpec | None = None) -> Ensemble:
-    """The uniform ensemble of all Pauli-basis encodings of ``state`` on the
-    sender qubits, each member optionally sent through ``spec``."""
-    layout = state.layout.require_protocol()
-    rho = as_density_matrix(state)
-    senders = list(layout.sender_indices)
-    basis = ch.pauli_basis(len(senders))
-    kraus = ch.kraus_for(spec, layout).operators if spec is not None else None
-    members = []
-    p = 1.0 / len(basis)
-    for w in basis:
-        enc = ch.conjugate_on(rho, w, senders, layout.n_qubits)
-        if kraus is not None:
-            enc = ch.apply_kraus_matrix(enc, kraus, senders, layout.n_qubits)
-        members.append((p, DensityOp(enc, layout)))
-    return Ensemble(tuple(members))
 
 
 def _marginal_entropy(rho: np.ndarray, layout: RegisterLayout, keep) -> float:
@@ -457,7 +397,7 @@ def minimize(objective: Callable, starts: np.ndarray, cfg: OptConfig) -> Descent
     its first start's initial point is reported there, so flat objectives
     return the first start.
     """
-    q = np.array(starts, dtype=float)
+    q = np.array(starts, dtype=float, order="C")   # each problem laid out as if alone
     first = q[:, 0].copy()
     values, grads = objective(q)
     if not np.all(np.isfinite(values)):
@@ -509,6 +449,7 @@ def minimize(objective: Callable, starts: np.ndarray, cfg: OptConfig) -> Descent
 
 _stage_cache: dict = {}
 STAGE_CACHE_SIZE = 256
+BLOCK_STATES = 64   # states per batch of ``noisy_locc_bounds``; memory grows with it
 
 
 def _side_forms(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
@@ -528,21 +469,20 @@ def _side_forms(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
                             len(keep), _stage_cache[key])
 
 
-def _side_minima(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
+def _side_minima(rhos: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
                  sides, cfg: OptConfig) -> list:
-    """(min entropy, minimizer, SearchDiagnostics or None) for each side;
-    sides whose sender groups have one size descend in one batch."""
+    """Per row of ``rhos``, (min entropy, minimizer, SearchDiagnostics or None)
+    for each side; every side of one sender-group size descends in one batch."""
     found, batches = {}, {}
-    for side in sides:
-        group = layout.group_indices(side)
+    for row, side in product(range(len(rhos)), sides):
+        group, t0 = layout.group_indices(side), time.perf_counter()
         if not group:
-            found[side] = (_marginal_entropy(rho, layout, layout.side_indices(side)),
-                           (), None)
+            found[row, side] = (_marginal_entropy(rhos[row], layout,
+                                                  layout.side_indices(side)), (), None)
             continue
-        t0 = time.perf_counter()
-        forms = _side_forms(rho, spec, layout, side)
+        forms = _side_forms(rhos[row], spec, layout, side)
         batches.setdefault(len(group), []).append(
-            (side, forms, time.perf_counter() - t0))
+            ((row, side), forms, time.perf_counter() - t0))
     for k, batch in batches.items():
         t0 = time.perf_counter()
         objective = _EntropyObjective(np.stack([forms for _, forms, _ in batch]))
@@ -550,16 +490,36 @@ def _side_minima(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
                                  (len(batch), cfg.starts, k, 4))
         res = minimize(objective, starts, cfg)
         descent_s = time.perf_counter() - t0
-        for p, (side, _, build_s) in enumerate(batch):
+        for p, (key, _, build_s) in enumerate(batch):
             grad_norm = float(res.grad_norm[p])
             diag = SearchDiagnostics(
                 starts=cfg.starts, steps=int(res.steps[p]),
                 evaluations=int(res.evaluations[p]), start_value=float(res.start_fun[p]),
                 final_value=float(res.fun[p]), grad_norm=grad_norm,
                 converged=grad_norm <= cfg.grad_tol, elapsed_s=build_s + descent_s)
-            found[side] = (float(res.fun[p]),
-                           tuple(_params_from_quaternion(qj) for qj in res.x[p]), diag)
-    return [found[side] for side in sides]
+            found[key] = (float(res.fun[p]),
+                          tuple(_params_from_quaternion(qj) for qj in res.x[p]), diag)
+    return [[found[row, side] for side in sides] for row in range(len(rhos))]
+
+
+def noisy_locc_bounds(rhos: np.ndarray, layout: RegisterLayout, spec: ch.ChannelSpec,
+                      cfg: OptConfig = DEFAULT_OPT) -> list[BoundReport]:
+    """``noisy_locc_bound`` of each state of a (B, d, d) stack of density
+    matrices. The sides of up to ``BLOCK_STATES`` states descend in one batch,
+    and each report equals bit for bit that of its state computed alone."""
+    layout = layout.require_protocol()
+    receivers = [[layout.receiver_index(x)] for x in (1, 2)]
+    minima = [m for lo in range(0, len(rhos), BLOCK_STATES)
+              for m in _side_minima(rhos[lo:lo + BLOCK_STATES], spec, layout, (1, 2), cfg)]
+    return [_assemble_report(layout, *[_marginal_entropy(rho, layout, r) for r in receivers],
+                             sides) for rho, sides in zip(rhos, minima)]
+
+
+def noisy_locc_bound(state, spec: ch.ChannelSpec,
+                     cfg: OptConfig = DEFAULT_OPT) -> BoundReport:
+    """Upper bound on the LOCC dense-coding capacity under a noisy channel:
+    log d_S + S(rho^{R1}) + S(rho^{R2}) - max_x S(zeta^x)."""
+    return noisy_locc_bounds(as_density_matrix(state)[None], state.layout, spec, cfg)[0]
 
 
 def min_output_entropy(state, spec: ch.ChannelSpec, side: int,
@@ -573,25 +533,9 @@ def min_output_entropy(state, spec: ch.ChannelSpec, side: int,
         (entropy_bits, minimizer): minimizer is one EncodingUnitaryParams per
         qubit of the side's sender group.
     """
-    layout = state.layout.require_protocol()
-    [(val, params, _)] = _side_minima(as_density_matrix(state), spec, layout, [side], cfg)
+    [[(val, params, _)]] = _side_minima(as_density_matrix(state)[None], spec,
+                                        state.layout.require_protocol(), [side], cfg)
     return val, params
-
-
-def _noisy_bound(state, spec: ch.ChannelSpec, cfg: OptConfig) -> BoundReport:
-    layout = state.layout.require_protocol()
-    rho = as_density_matrix(state)
-    s_r1, s_r2 = (_marginal_entropy(rho, layout, [layout.receiver_index(x)])
-                  for x in (1, 2))
-    sides = _side_minima(rho, spec, layout, (1, 2), cfg)
-    return _assemble_report(layout, s_r1, s_r2, sides)
-
-
-def noisy_locc_bound(state, spec: ch.ChannelSpec,
-                     cfg: OptConfig = DEFAULT_OPT) -> BoundReport:
-    """Upper bound on the LOCC dense-coding capacity under a noisy channel:
-    log d_S + S(rho^{R1}) + S(rho^{R2}) - max_x S(zeta^x)."""
-    return _noisy_bound(state, spec, cfg)
 
 
 COVARIANCE_GATE = 1e-8
@@ -610,68 +554,12 @@ def covariant_chi(state, spec: ch.ChannelSpec,
     dev = ch.check_covariance(spec, layout=layout)
     if dev >= COVARIANCE_GATE:
         raise ValueError(f"channel is not covariant: max deviation {dev:.3e}")
-    return _noisy_bound(state, spec, cfg)
+    return noisy_locc_bounds(as_density_matrix(state)[None], layout, spec, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
 # four-qubit GHZ closed forms
 # ---------------------------------------------------------------------------
-
-def ghz_zeta_eigenvalues(spec: ch.ChannelSpec,
-                         params: EncodingUnitaryParams) -> np.ndarray:
-    """Eigenvalues of zeta^1 for the four-qubit GHZ state, in closed form.
-
-    Supported channels: amplitude damping (uses the side-1 gamma), phase
-    damping (side-1 p), and fully-correlated Pauli noise. The Pauli case
-    depends on the encoding angles only through cos(2(theta1 - theta2))
-    under the unitary convention of EncodingUnitaryParams.matrix().
-    """
-    a = params.a
-    if spec.family == ch.AMPLITUDE_DAMPING:
-        # f = 1 - 4g(1-g)a^4 and g = 1 - 4g(1-g)(1-a^2)^2, rewritten with
-        # 4g(1-g) = 1 - (2g-1)^2 so the near-degenerate points (f or g ~ 0)
-        # do not suffer catastrophic cancellation
-        d2 = (2.0 * spec.group_params[0] - 1.0) ** 2
-        a2 = a * a
-        f = (1.0 - a2 * a2) + d2 * a2 * a2
-        gg = a2 * (2.0 - a2) + d2 * (1.0 - a2) ** 2
-        sf, sg = math.sqrt(f), math.sqrt(gg)
-        return 0.25 * np.array([1 - sf, 1 + sf, 1 - sg, 1 + sg])
-    if spec.family == ch.PHASE_DAMPING:
-        # f_P = 1 - 4a^2(1-a^2)p(2-p) = (1-2a^2)^2 + 4a^2(1-a^2)(1-p)^2
-        p = spec.group_params[0]
-        a2 = a * a
-        fp = (1.0 - 2.0 * a2) ** 2 + 4.0 * a2 * (1.0 - a2) * (1.0 - p) ** 2
-        s = math.sqrt(fp)
-        return 0.25 * np.array([1 - s, 1 - s, 1 + s, 1 + s])
-    if spec.family == ch.PAULI and spec.correlated:
-        q0, q1, q2, q3 = (float(v) for v in spec.q)
-        f1 = 2.0 * a * a * (a * a - 1.0)
-        gt = (q0 - q1 - q2 + q3) ** 2 + f1 * (
-            8 * q1 * q2 + 8 * q0 * q3 - 4 * (q0 + q3) * (q1 + q2)
-            - 4 * (q1 - q2) * (q0 - q3)
-            * math.cos(2.0 * (params.theta1 - params.theta2)))
-        s = math.sqrt(max(gt, 0.0))
-        return 0.25 * np.array([1 - s, 1 - s, 1 + s, 1 + s])
-    raise ValueError(f"no closed-form eigenvalues for channel {spec.family!r} "
-                     f"(correlated={spec.correlated})")
-
-
-def extremum_residual_ad(a: float, gamma: float) -> float:
-    """Residual of the amplitude-damping extremum condition for the GHZ
-    minimizer; zero at a = 1/sqrt(2) for every gamma, and proportional to
-    -dS/da elsewhere (positive for a below the minimum)."""
-    if not 0.0 < a < 1.0:
-        raise ValueError("a must lie strictly inside (0, 1)")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie strictly inside (0, 1)")
-    f = 1.0 - 4.0 * gamma * (1.0 - gamma) * a ** 4
-    g = 1.0 - 4.0 * gamma * (1.0 - gamma) * (1.0 - a * a) ** 2
-    sf, sg = math.sqrt(f), math.sqrt(g)
-    lhs = (a * a / sf) * math.log2((1.0 - sf) / (1.0 + sf))
-    rhs = ((1.0 - a * a) / sg) * math.log2((1.0 - sg) / (1.0 + sg))
-    return lhs - rhs
-
 
 def closed_form_ghz_bound(spec: ch.ChannelSpec) -> float:
     """Closed-form noisy LOCC bound for the four-qubit GHZ state."""

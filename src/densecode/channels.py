@@ -1,4 +1,4 @@
-"""Kraus-operator noise models, Pauli operator bases, covariance checks, twirling.
+"""Kraus-operator noise models, Pauli operator bases and covariance checks.
 
 Channels act on the senders' qubits only. Amplitude and phase damping are
 local (one independent single-qubit channel per sender wire, with a strength
@@ -127,18 +127,6 @@ def parse_channel(text: str) -> ChannelSpec:
             raise ValueError("pauli-gen channel needs exactly 16 weights")
         return ChannelSpec.pauli_general(np.array(vals).reshape(4, 4))
     raise ValueError(f"unknown channel family {head!r}")
-
-
-def channel_to_string(spec: ChannelSpec) -> str:
-    if spec.family == IDENTITY:
-        return "none"
-    if spec.family == AMPLITUDE_DAMPING:
-        return "ad:{:g},{:g}".format(*spec.group_params)
-    if spec.family == PHASE_DAMPING:
-        return "pd:{:g},{:g}".format(*spec.group_params)
-    if spec.correlated:
-        return "pauli:" + ",".join(f"{v:g}" for v in spec.q)
-    return "pauli-gen:" + ",".join(f"{v:g}" for v in spec.q.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -345,18 +333,3 @@ def check_covariance(spec: ChannelSpec,
         del _covariance_cache[next(iter(_covariance_cache))]
     _covariance_cache[key] = dev
     return dev
-
-
-def twirl(rho: DensityOp) -> DensityOp:
-    """Average ``rho`` over the complete Pauli basis on all sender qubits,
-    projecting them to the maximally mixed state while leaving the
-    receivers' marginal untouched."""
-    layout = rho.layout
-    targets = list(layout.require_protocol().sender_indices)
-    basis = pauli_basis(len(targets))
-    acc = None
-    for w in basis:
-        term = conjugate_on(rho.matrix, w, targets, layout.n_qubits)
-        acc = term if acc is None else acc + term
-    return DensityOp(acc / len(basis), layout)
-

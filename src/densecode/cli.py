@@ -15,8 +15,9 @@ Modes
 CSV columns are documented per mode in the functions below; floats are
 printed with 12 significant digits. Campaign RNG streams are keyed by
 (seed, state_id), so serial and parallel runs emit identical files. A
-campaign chunk reads the GGM, the flags and the noiseless bound of its whole
-block of states off one batched ``CutSpectra`` kernel.
+campaign chunk reads the GGM and the flags of its block of states off one
+batched ``CutSpectra`` kernel, and every bound of a block, the campaign's or
+the reference line's, comes from one block call.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ import numpy as np
 
 from .capacity import (BoundReport, OptimizationError, SearchDiagnostics,
                        closed_form_ghz_bound, global_capacity, locc_bound_noiseless,
-                       noisy_locc_bound, noiseless_bounds)
+                       noiseless_bounds, noisy_locc_bound, noisy_locc_bounds)
 from .channels import ChannelSpec, parse_channel
 from .ggm import TIE_ATOL, CutSpectra, above_gghz_line, ggm, theorem2_flags
-from .qcore import PureState, RegisterLayout
+from .qcore import RegisterLayout
 from .states import (GghzParams, RngSeed, StateFormatError, haar_amplitudes,
                      load_state, make_gghz, make_ghz)
 
@@ -56,6 +57,23 @@ def _layout4() -> RegisterLayout:
     return RegisterLayout.split(2)
 
 
+def _block_bounds(amps: np.ndarray, spec: ChannelSpec, spectra=None) -> np.ndarray:
+    """(B,) bound of each four-qubit pure state of a block: the noiseless
+    bound (off ``spectra`` if given) or the noisy bound's block route."""
+    if spec.is_identity:
+        return noiseless_bounds(spectra or CutSpectra.of(amps, _layout4()))
+    rhos = amps[:, :, None] * amps[:, None, :].conj()
+    return np.array([r.bound_bits for r in noisy_locc_bounds(rhos, _layout4(), spec)])
+
+
+def _gghz_family(points: int, spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``points`` values of m over [0.5, 1] and the two-term family's bounds."""
+    m_vals = np.linspace(0.5, 1.0, points)
+    amps = np.stack([make_gghz(GghzParams(p=float(m)), _layout4()).amplitudes
+                     for m in m_vals])
+    return m_vals, _block_bounds(amps, spec)
+
+
 # ---------------------------------------------------------------------------
 # the gGHZ reference line in the (bound, GGM) plane
 # ---------------------------------------------------------------------------
@@ -65,7 +83,7 @@ class GghzLine:
     """Bound of the two-term family as a function of its GGM E = 1 - m.
 
     Noiseless the curve is exact (bound = 2 + H(1 - E)); under a channel it
-    is tabulated by ``noisy_locc_bound`` at ``LINE_POINTS`` values of E and
+    is tabulated by ``noisy_locc_bounds`` at ``LINE_POINTS`` values of E and
     interpolated.
     """
 
@@ -77,10 +95,7 @@ class GghzLine:
     def build(cls, spec: ChannelSpec) -> "GghzLine":
         if spec.is_identity:
             return cls(noiseless=True)
-        layout = _layout4()
-        m_vals = np.linspace(0.5, 1.0, LINE_POINTS)
-        bounds = np.array([noisy_locc_bound(make_gghz(GghzParams(p=float(m)), layout),
-                                            spec).bound_bits for m in m_vals])
+        m_vals, bounds = _gghz_family(LINE_POINTS, spec)
         e = 1.0 - m_vals[::-1]          # ascending E in [0, 1/2]
         return cls(noiseless=False, e_grid=e, bound_grid=bounds[::-1].copy())
 
@@ -96,31 +111,19 @@ class GghzLine:
         return bound_bits <= self.bound_at(ggm_value) + TIE_ATOL
 
 
-def _bound_for(state, spec: ChannelSpec) -> BoundReport:
-    if spec.is_identity:
-        return locc_bound_noiseless(state)
-    return noisy_locc_bound(state, spec)
-
-
 # ---------------------------------------------------------------------------
 # haar campaign
 # ---------------------------------------------------------------------------
 
 def _haar_chunk(task) -> list[list[str]]:
     lo, hi, seed, channel_str, line = task
-    spec = parse_channel(channel_str)
-    layout = _layout4()
     amps = haar_amplitudes(4, [RngSeed(seed, sid) for sid in range(lo, hi)])
-    spectra = CutSpectra.of(amps, layout)
+    spectra = CutSpectra.of(amps, _layout4())
     values, best = spectra.ggm()
-    labels = spectra.labels
     flags = theorem2_flags(spectra).astype(int)
-    if spec.is_identity:
-        bounds = noiseless_bounds(spectra)
-    else:
-        bounds = [noisy_locc_bound(PureState(a, layout), spec).bound_bits for a in amps]
+    bounds = _block_bounds(amps, parse_channel(channel_str), spectra)
     return [[str(sid), _fmt(value), _fmt(bound)] + [str(f) for f in row_flags]
-            + [str(int(line.above(float(value), float(bound)))), labels[cut]]
+            + [str(int(line.above(float(value), float(bound)))), spectra.labels[cut]]
             for sid, value, bound, row_flags, cut
             in zip(range(lo, hi), values, bounds, flags, best)]
 
@@ -201,15 +204,11 @@ def run_gghz_curve(points: int, channel: str, out_path: str) -> None:
     """CSV rows (m, ggm, bound_bits) for the two-term family."""
     if points < 2:
         raise ValueError("need at least 2 points")
-    spec = parse_channel(channel)
-    layout = _layout4()
+    m_vals, bounds = _gghz_family(points, parse_channel(channel))
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "ggm", "bound_bits"])
-        for m in np.linspace(0.5, 1.0, points):
-            st = make_gghz(GghzParams(p=float(m)), layout)
-            rep = _bound_for(st, spec)
-            writer.writerow([_fmt(m), _fmt(1.0 - m), _fmt(rep.bound_bits)])
+        writer.writerows([_fmt(m), _fmt(1.0 - m), _fmt(b)] for m, b in zip(m_vals, bounds))
 
 
 def run_channel_scan(family: str, points: int | None, seed: int,
@@ -279,7 +278,7 @@ def run_bound(state_arg: str, channel: str, write=print) -> BoundReport:
     write(f"channel: {channel}")
     write(f"global_capacity_bits: {_fmt(global_capacity(state))}")
     write(f"classical_threshold_bits: {_fmt(state.layout.n_senders)}")
-    rep = _bound_for(state, spec)
+    rep = locc_bound_noiseless(state) if spec.is_identity else noisy_locc_bound(state, spec)
     label = "noiseless_bound" if spec.is_identity else "noisy_bound"
     write(f"{label}_bits: {_fmt(rep.bound_bits)}")
     write(f"term_S_R1_bits: {_fmt(rep.term_S_R1)}")

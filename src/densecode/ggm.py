@@ -150,26 +150,6 @@ def theorem2_conditions(state: PureState) -> Theorem2Flags:
     return Theorem2Flags(*map(bool, flags[0]))
 
 
-def gghz_ggm_at_capacity(bound_bits: float) -> float:
-    """GGM of the two-term (gGHZ-type) four-qubit state whose noiseless LOCC
-    bound equals ``bound_bits``.
-
-    Solves H(m) = bound - 2 for the larger marginal eigenvalue m in [1/2, 1]
-    by bisection to 1e-10 and returns E = 1 - m; increasing in the bound.
-    """
-    if bound_bits < 2.0 - 1e-9 or bound_bits > 3.0 + 1e-9:
-        raise ValueError(f"bound {bound_bits} outside [2, 3]")
-    target = min(max(bound_bits - 2.0, 0.0), 1.0)
-    lo, hi = 0.5, 1.0  # H decreasing on [1/2, 1]
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 1.0 - 0.5 * (lo + hi)
-
-
 def above_gghz_line(ggm_value: float, bound_bits: float) -> bool:
     """Whether the point (bound, GGM) lies on or above the two-term reference
     curve in the noiseless plane, ties within 1e-9 counting as on it.

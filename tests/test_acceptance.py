@@ -12,17 +12,17 @@ import numpy as np
 
 from densecode.capacity import (EncodingUnitaryParams,
                                 closed_form_ghz_bound, covariant_chi,
-                                ghz_zeta_eigenvalues, locc_bound_noiseless,
-                                noisy_locc_bound)
+                                locc_bound_noiseless, noisy_locc_bound)
 from densecode.channels import (ChannelSpec, apply_channel, check_covariance,
-                                kraus_for, twirl)
+                                kraus_for)
 from densecode.cli import run_haar
-from densecode.ggm import ggm, gghz_ggm_at_capacity
+from densecode.ggm import ggm
 from densecode.qcore import (RegisterLayout, binary_entropy, dag,
                              partial_trace_matrix, von_neumann_entropy)
 from densecode.states import RngSeed, haar_random_pure, make_ghz
 
-from oracles import twirl_expected_matrix
+from oracles import (gghz_ggm_at_capacity, ghz_zeta_eigenvalues, twirl,
+                     twirl_expected_matrix)
 
 LAYOUT = RegisterLayout.split(2)
 GHZ = make_ghz(4, LAYOUT)

@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 
 from densecode import capacity
-from densecode.capacity import (DEFAULT_OPT, EncodingUnitaryParams, Ensemble,
+from densecode.capacity import (DEFAULT_OPT, EncodingUnitaryParams,
                                 _params_from_quaternion,
-                                OptConfig, closed_form_ghz_bound,
-                                covariant_chi, ensemble_chi,
-                                extremum_residual_ad, ghz_zeta_eigenvalues,
+                                OptConfig, closed_form_ghz_bound, covariant_chi,
                                 global_capacity, locc_bound_noiseless,
                                 min_output_entropy, noisy_locc_bound,
-                                pauli_encoded_ensemble)
+                                noisy_locc_bounds)
 from densecode.channels import SIGMA, ChannelSpec, parse_channel
-from densecode.qcore import (DensityOp, PureState, RegisterLayout, binary_entropy,
-                             entropy_from_eigs, partial_trace_matrix,
+from densecode.qcore import (DensityOp, PureState, RegisterLayout, as_density_matrix,
+                             binary_entropy, entropy_from_eigs, partial_trace_matrix,
                              von_neumann_entropy)
 from densecode.states import GghzParams, RngSeed, haar_random_pure, make_ghz, make_gghz
 
-from oracles import side_state_full_register
+from oracles import (Ensemble, ensemble_chi, extremum_residual_ad,
+                     ghz_zeta_eigenvalues, pauli_encoded_ensemble,
+                     side_state_full_register)
 
 LAYOUT = RegisterLayout.split(2)
 GHZ = make_ghz(4, LAYOUT)
@@ -255,7 +255,8 @@ def test_covariant_chi_identity_equals_noiseless():
 
 
 def test_covariant_chi_equals_noisy_bound():
-    # cross-implementation agreement: reduced route vs full-register route
+    # on a covariant channel covariant_chi adds only its gate to the bound;
+    # test_side_objective_matches_full_register_oracle checks the route itself
     rng = np.random.default_rng(35)
     for _ in range(5):
         q = rng.dirichlet(np.ones(4))
@@ -300,7 +301,8 @@ def test_general_pauli_marginal_rule():
 
 
 def test_general_pauli_full_route():
-    # the full-register route agrees with the marginal rule too
+    # noisy_locc_bound, which has no covariance gate, agrees with the
+    # marginal rule too
     rng = np.random.default_rng(37)
     for _ in range(2):
         q = rng.dirichlet(np.ones(16)).reshape(4, 4)
@@ -577,6 +579,72 @@ def test_bound_sides_equal_single_side_searches(channel):
                 assert np.abs(got.matrix() - want.matrix()).max() < 1e-9
     # a side that stops first leaves the batch and keeps its own step count
     assert any(s1 != s2 for s1, s2 in steps)
+
+
+@pytest.mark.parametrize("senders", [3, 4])
+def test_bound_sides_equal_min_output_entropy_exactly(senders):
+    # a side alone (one problem) and both sides of a bound (two problems in
+    # one descent) must run the same arithmetic, also for two-qubit groups
+    layout = RegisterLayout.split(senders)
+    for channel in ("ad:0.4,0.7", "pd:0.4,0.7"):
+        spec = parse_channel(channel)
+        for i in range(4):
+            st = haar_random_pure(layout.n_qubits, RngSeed(99, i), layout)
+            rep = noisy_locc_bound(st, spec)
+            assert min_output_entropy(st, spec, 1) == (rep.entropy_side1, rep.minimizer_side1)
+            assert min_output_entropy(st, spec, 2) == (rep.entropy_side2, rep.minimizer_side2)
+
+
+def assert_same_report(got, want):
+    for name in ("bound_bits", "entropy_side1", "entropy_side2",
+                 "minimizer_side1", "minimizer_side2"):
+        assert getattr(got, name) == getattr(want, name), name
+    for a, b in zip(got.diagnostics, want.diagnostics, strict=True):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert (a.steps, a.evaluations) == (b.steps, b.evaluations)
+
+
+@pytest.mark.parametrize("senders,channel,rows,block", [
+    (2, "ad:0.3,0.3", 130, None),
+    (2, "pd:0.4,0.7", 130, None),
+    (2, "pauli:0.7,0.1,0.1,0.1", 130, None),
+    (2, "pauli-gen:0.85,0.05,0.05,0.05,0,0,0,0,0,0,0,0,0,0,0,0", 130, None),
+    (1, "ad:0.3,0.5", 130, None),   # side 2 has no senders
+    (3, "ad:0.4,0.7", 7, 3),        # slices of 3 keep the two-qubit side quick
+])
+def test_block_rows_equal_one_row_reports(monkeypatch, senders, channel, rows, block):
+    # the rows make two full slices of BLOCK_STATES and a ragged tail, and
+    # the last row is a mixed state
+    if block is not None:
+        monkeypatch.setattr(capacity, "BLOCK_STATES", block)
+    layout = RegisterLayout.split(senders)
+    spec = parse_channel(channel)
+    states = [haar_random_pure(layout.n_qubits, RngSeed(99, i), layout)
+              for i in range(rows)]
+    states[-1] = DensityOp(0.5 * (states[-1].density().matrix
+                                  + states[0].density().matrix), layout)
+    block_reports = noisy_locc_bounds(np.stack([as_density_matrix(st) for st in states]),
+                                      layout, spec)
+    assert len(block_reports) == rows
+    for got, st in zip(block_reports, states):
+        assert_same_report(got, noisy_locc_bound(st, spec))
+
+
+def test_block_descends_at_most_block_states(monkeypatch):
+    # one objective per slice, holding the two sides of each of its states
+    sizes = []
+    init = capacity._EntropyObjective.__init__
+
+    def recording(self, forms):
+        sizes.append(len(forms))
+        init(self, forms)
+
+    monkeypatch.setattr(capacity._EntropyObjective, "__init__", recording)
+    states = [haar_random_pure(4, RngSeed(99, i), LAYOUT) for i in range(130)]
+    rhos = np.stack([as_density_matrix(st) for st in states])
+    noisy_locc_bounds(rhos, LAYOUT, parse_channel("pauli:0.7,0.1,0.1,0.1"))
+    assert sizes == [2 * capacity.BLOCK_STATES] * 2 + [4]
 
 
 def test_unequal_sender_groups_descend_apart(rows_evaluated):

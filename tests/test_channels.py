@@ -4,15 +4,14 @@ import pytest
 from densecode import channels
 from densecode.capacity import covariant_chi, noisy_locc_bound
 from densecode.channels import (SIGMA, ChannelSpec, KrausSet, apply_channel,
-                                apply_kraus_matrix, channel_to_string,
-                                check_covariance, kraus_for, marginal_kraus,
-                                parse_channel, pauli_basis, single_qubit_kraus,
-                                twirl)
+                                apply_kraus_matrix, check_covariance, kraus_for,
+                                marginal_kraus, parse_channel, pauli_basis,
+                                single_qubit_kraus)
 from densecode.qcore import (DensityOp, PureState, RegisterLayout, dag,
                              partial_trace_matrix, tensor)
 from densecode.states import RngSeed, haar_random_pure, make_ghz
 
-from oracles import twirl_expected_matrix
+from oracles import channel_to_string, twirl, twirl_expected_matrix
 
 LAYOUT = RegisterLayout.split(2)
 

@@ -30,13 +30,16 @@ def test_haar_csv_schema_and_determinism(tmp_path):
     float(rows[0][2])
 
 
-@pytest.mark.parametrize("n", [1, 65, 300, 301])
-def test_haar_parallel_matches_serial(tmp_path, n):
-    # chunk boundaries move with n and jobs; no byte may move with them
+@pytest.mark.parametrize("channel, n", [("none", 1), ("none", 65), ("none", 300),
+                                        ("none", 301), ("ad:0.3,0.3", 100)],
+                         ids=["1", "65", "300", "301", "ad:0.3,0.3-100"])
+def test_haar_parallel_matches_serial(tmp_path, channel, n):
+    # chunk boundaries move with n and jobs; no byte may move with them (the
+    # noisy run descends in blocks of 64 + 36 serially and 50 + 50 with 2 jobs)
     out1 = tmp_path / "serial.csv"
     out2 = tmp_path / "par.csv"
-    s1 = run_haar(n, 11, "none", str(out1), jobs=1)
-    s2 = run_haar(n, 11, "none", str(out2), jobs=2)
+    s1 = run_haar(n, 11, channel, str(out1), jobs=1)
+    s2 = run_haar(n, 11, channel, str(out2), jobs=2)
     assert out1.read_bytes() == out2.read_bytes()
     assert s1.counts_strict == s2.counts_strict
     assert s1.counts_swapped == s2.counts_swapped
@@ -56,7 +59,8 @@ def _serial_row(seed, sid, bound, above):
 
 
 @pytest.mark.parametrize("channel, n", [("none", 200),
-                                        ("pauli:0.485,0.015,0.015,0.485", 4)])
+                                        ("pauli:0.485,0.015,0.015,0.485", 4),
+                                        ("ad:0.3,0.3", 70)])
 def test_haar_rows_equal_per_state_rows(tmp_path, monkeypatch, channel, n):
     build = vars(GghzLine)["build"]
     lines = []
@@ -70,8 +74,11 @@ def test_haar_rows_equal_per_state_rows(tmp_path, monkeypatch, channel, n):
     run_haar(n, 23, channel, str(out))
     _, rows = read_csv(str(out))
     spec = dc.parse_channel(channel)
+    # covariant_chi refuses amplitude damping
+    route = (dc.noisy_locc_bound if spec.family == dc.channels.AMPLITUDE_DAMPING
+             else dc.covariant_chi)
     bound = (dc.locc_bound_noiseless if spec.is_identity
-             else lambda st: dc.covariant_chi(st, spec))
+             else lambda st: route(st, spec))
     assert rows == [_serial_row(23, sid, bound, lines[0].above) for sid in range(n)]
     if spec.is_identity:
         # the noiseless line is the rule of ggm.above_gghz_line

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from densecode.ggm import (CutSpectra, above_gghz_line, ggm,
-                           gghz_ggm_at_capacity, theorem2_conditions,
+from densecode.ggm import (CutSpectra, above_gghz_line, ggm, theorem2_conditions,
                            theorem2_flags)
 from densecode.capacity import locc_bound_noiseless
 from densecode.qcore import PureState, RegisterLayout, von_neumann_entropy
 from densecode.states import GghzParams, RngSeed, haar_random_pure, make_gghz, make_ghz
+
+from oracles import gghz_ggm_at_capacity
 
 LAYOUT = RegisterLayout.split(2)
 
