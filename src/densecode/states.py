@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +36,8 @@ class RngSeed:
     The same (seed, stream_index) pair always yields the identical sample
     sequence; distinct stream indices give statistically independent streams,
     so per-sample streams keyed by sample id make parallel campaigns
-    schedule-independent.
+    schedule-independent. The stream is numpy's PCG64 seeded by
+    ``SeedSequence(entropy=seed, spawn_key=(stream_index,))``.
     """
 
     seed: int
@@ -44,13 +46,115 @@ class RngSeed:
     def __post_init__(self):
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be >= 0")
+        if not 0 <= self.stream_index < 1 << 64:
+            raise ValueError("stream_index must be a 64-bit unsigned integer")
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed,
-                                    spawn_key=(self.stream_index,))
-        return np.random.default_rng(ss)
+        return _generator(pcg64_seed_words([self])[0])
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four uint32
+# words; hashmix number j XORs with _HASH_A[j] and multiplies by _HASH_A[j + 1],
+# and generate_state's word j does the same with _HASH_B.
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+_HASH_A = _hash_constants(0x43b0d7e5, 0x931e8875, 25)
+_HASH_B = _hash_constants(0x8b51f9dd, 0x58f38ded, 9)
+_MIX_L = np.uint32(0xca01f9dd)
+_MIX_R = np.uint32(0x4973f715)
+_XSHIFT = np.uint32(16)
+# the seed fills the pool's first two words; the spawn key is mixed in after
+_SEED_WORDS = np.array([0xFFFFFFFF, 0xFFFFFFFF, 0, 0], dtype=np.uint32)
+
+
+def _cross_constants() -> tuple[np.ndarray, np.ndarray]:
+    """Hashmix constants of the cross-mixing pass, one row per source word:
+    source s mixes into every other word d in ascending order, hashmix
+    4 + 3s + (its position among them); the entries at d = s are unused."""
+    xor = np.zeros((4, 4), dtype=np.uint32)
+    mul = np.zeros((4, 4), dtype=np.uint32)
+    for s in range(4):
+        for t, d in enumerate(d for d in range(4) if d != s):
+            xor[s, d], mul[s, d] = _HASH_A[4 + 3 * s + t], _HASH_A[5 + 3 * s + t]
+    return xor, mul
+
+
+_CROSS_XOR, _CROSS_MUL = _cross_constants()
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = v ^ xor
+    v *= mul
+    v ^= v >> _XSHIFT
+    return v
+
+
+def _mix(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """numpy's mix(x, h) = L x - R h, then xorshift; overwrites ``h``."""
+    h *= _MIX_R
+    r = x * _MIX_L
+    r -= h
+    r ^= r >> _XSHIFT
+    return r
+
+
+def pcg64_seed_words(keys) -> np.ndarray:
+    """(B, 4) uint64 PCG64 seed of every RngSeed in ``keys``, derived for the
+    whole block at once: row i equals ``SeedSequence(entropy=keys[i].seed,
+    spawn_key=(keys[i].stream_index,)).generate_state(4, np.uint64)``.
+
+    Each stage runs across the rows and the four pool words together; the
+    hash constants are the same for every row, so only the cross-mixing
+    pass, which reads each source word after the last stage wrote it, loops.
+    """
+    # little-endian 32-bit words (seed lo, seed hi, key lo, key hi) per row
+    w = np.array([(k.seed, k.stream_index) for k in keys],
+                 dtype="<u8").reshape(-1, 2).view("<u4")
+    # the seed is zero-padded to the pool size because a spawn key follows
+    pool = _hashmix(w & _SEED_WORDS, _HASH_A[0:4], _HASH_A[1:5])
+    for s in range(4):
+        mixed = _mix(pool, _hashmix(pool[:, s, None], _CROSS_XOR[s], _CROSS_MUL[s]))
+        mixed[:, s] = pool[:, s]
+        pool = mixed
+    # the key's words: one below 2^32, two from there on
+    pool = _mix(pool, _hashmix(w[:, 2, None], _HASH_A[16:20], _HASH_A[17:21]))
+    two = w[:, 3] != 0
+    if two.any():
+        pool[two] = _mix(pool[two], _hashmix(w[two, 3][:, None], _HASH_A[20:24],
+                                             _HASH_A[21:25]))
+    # generate_state(4, uint64): eight uint32 words cycling over the pool,
+    # read as four little-endian uint64
+    state = _hashmix(np.concatenate((pool, pool), axis=1), _HASH_B[0:8], _HASH_B[1:9])
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    # numpy.random loads here, at the first draw, not when densecode is imported
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """Hands precomputed seed words to ``np.random.PCG64``, which asks
+        for exactly four uint64 words; nothing can be spawned from it."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("these seed words are four uint64 words for PCG64")
+            return self.words
+
+    return SeedWords
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
 
 
 def _default_layout(n: int) -> RegisterLayout:
@@ -98,14 +202,26 @@ def haar_random_pure(n: int, rng: RngSeed | np.random.Generator,
 
 def haar_amplitudes(n: int, rngs) -> np.ndarray:
     """(len(rngs), 2^n) amplitudes of Haar states, row i drawn from rngs[i]
-    (an RngSeed or a Generator); the draw of :func:`haar_random_pure`."""
-    rows = []
-    for rng in rngs:
-        gen = rng.generator() if isinstance(rng, RngSeed) else rng
-        v = gen.standard_normal(1 << n) + 1j * gen.standard_normal(1 << n)
-        v /= np.linalg.norm(v)
-        rows.append(v)
-    return np.stack(rows)
+    (an RngSeed or a Generator); the draw of :func:`haar_random_pure`.
+
+    A row is 2^n real and then 2^n imaginary standard normals, divided by
+    their norm. The PCG64 seeds of all RngSeed entries are derived in one
+    :func:`pcg64_seed_words` call.
+    """
+    rngs = list(rngs)
+    d = 1 << n
+    words = iter(pcg64_seed_words([r for r in rngs if isinstance(r, RngSeed)]))
+    normals = np.empty((len(rngs), 2 * d))
+    for rng, row in zip(rngs, normals):
+        gen = _generator(next(words)) if isinstance(rng, RngSeed) else rng
+        gen.standard_normal(out=row)
+    amps = np.empty((len(rngs), d), dtype=complex)
+    amps.real = normals[:, :d]
+    amps.imag = normals[:, d:]
+    # np.linalg.norm's arithmetic: dot products of the strided views
+    norms = [math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)) for v in amps]
+    amps /= np.array(norms).reshape(-1, 1)
+    return amps
 
 
 # ---------------------------------------------------------------------------

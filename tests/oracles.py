@@ -12,6 +12,20 @@ from densecode.channels import (AMPLITUDE_DAMPING, IDENTITY, PHASE_DAMPING,
 from densecode.qcore import (DensityOp, apply_local_unitary, as_density_matrix,
                              binary_entropy, conjugate_on, dag, partial_trace,
                              partial_trace_matrix, tensor, von_neumann_entropy)
+from densecode.states import RngSeed
+
+
+def haar_state_draw(n: int, rng) -> np.ndarray:
+    """Haar amplitudes drawn one state at a time through numpy's own seeding:
+    an RngSeed becomes ``default_rng(SeedSequence(entropy=seed,
+    spawn_key=(stream_index,)))`` (a Generator is used as it is), then two
+    ``standard_normal(2^n)`` calls, real parts first, and ``np.linalg.norm``."""
+    if isinstance(rng, RngSeed):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=rng.seed, spawn_key=(rng.stream_index,)))
+    v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    v /= np.linalg.norm(v)
+    return v
 
 
 def eigvals_hermitian(a: np.ndarray) -> np.ndarray:

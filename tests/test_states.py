@@ -7,7 +7,13 @@ from scipy.stats import ks_2samp
 from densecode.qcore import partial_trace_matrix
 from densecode.states import (GghzParams, RngSeed, StateFormatError,
                               haar_amplitudes, haar_random_pure, load_state,
-                              make_ghz, make_gghz, save_state)
+                              make_ghz, make_gghz, pcg64_seed_words, save_state)
+
+from oracles import haar_state_draw
+
+# one- and two-word seeds and spawn keys, at both ends of each width
+SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+STREAMS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**64 - 1]
 
 
 def test_ghz_amplitudes():
@@ -83,6 +89,48 @@ def test_haar_block_rows_are_the_per_state_draws():
     assert np.array_equal(mixed[0], haar_amplitudes(3, [RngSeed(21, 3)])[0])
     assert np.array_equal(
         mixed[1], haar_random_pure(3, np.random.default_rng(5)).amplitudes)
+
+
+def test_seed_words_are_numpys_seed_sequence():
+    keys = [RngSeed(seed, stream) for seed in SEEDS for stream in STREAMS]
+    words = pcg64_seed_words(keys)
+    assert words.dtype == np.uint64 and words.shape == (len(keys), 4)
+    for key, row in zip(keys, words):
+        ss = np.random.SeedSequence(entropy=key.seed, spawn_key=(key.stream_index,))
+        assert np.array_equal(row, ss.generate_state(4, np.uint64)), key
+    # the one-row call: the generator's PCG64 starts where numpy's does
+    for key in keys[::5]:
+        ss = np.random.SeedSequence(entropy=key.seed, spawn_key=(key.stream_index,))
+        assert (key.generator().bit_generator.state
+                == np.random.default_rng(ss).bit_generator.state)
+
+
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_haar_block_equals_the_oracle_draw(n):
+    # seeds, stream indices and a Generator entry mixed in one block; every
+    # row is bit for bit numpy's per-state draw
+    entries = ([RngSeed(seed, stream) for seed in SEEDS[::2] for stream in STREAMS]
+               + [np.random.default_rng(5)] + [RngSeed(9, sid) for sid in range(40)])
+    block = haar_amplitudes(n, entries)
+    assert block.shape == (len(entries), 1 << n)
+    for i, (entry, row) in enumerate(zip(entries, block)):
+        if not isinstance(entry, RngSeed):
+            entry = np.random.default_rng(5)
+        assert np.array_equal(row, haar_state_draw(n, entry)), i
+
+
+def test_rng_seed_bounds_both_words():
+    RngSeed(2**64 - 1, 2**64 - 1)
+    for seed, stream, name in [(-1, 0, "seed"), (2**64, 0, "seed"),
+                               (0, -1, "stream_index"), (0, 2**64, "stream_index")]:
+        with pytest.raises(ValueError, match=f"^{name} must be a 64-bit unsigned integer"):
+            RngSeed(seed, stream)
+
+
+def test_haar_amplitudes_of_no_states():
+    block = haar_amplitudes(4, [])
+    assert block.shape == (0, 16) and block.dtype == complex
+    assert pcg64_seed_words([]).shape == (0, 4)
 
 
 def test_haar_mean_marginal_purity():
