@@ -447,26 +447,22 @@ def minimize(objective: Callable, starts: np.ndarray, cfg: OptConfig) -> Descent
 # side minima and the noisy bounds
 # ---------------------------------------------------------------------------
 
-_stage_cache: dict = {}
-STAGE_CACHE_SIZE = 256
 BLOCK_STATES = 64   # states per batch of ``noisy_locc_bounds``; memory grows with it
 
 
 def _side_forms(rho: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,
                 side: int) -> np.ndarray:
     """The side's objective forms on its reduced state, with the channel's
-    marginal Kraus stage (memoized per channel, layout and side, oldest
-    evicted first) on the sender group; the traced senders' noise drops out."""
+    marginal Kraus stage (memoized per channel, layout and side by
+    ``channel_memo``) on the sender group; the traced senders' noise drops out."""
     keep = list(layout.side_indices(side))
     pos = [keep.index(q) for q in layout.group_indices(side)]
-    key = ch._channel_key(spec, layout) + (side,)
-    if key not in _stage_cache:
-        if len(_stage_cache) >= STAGE_CACHE_SIZE:
-            del _stage_cache[next(iter(_stage_cache))]
-        _stage_cache[key] = _make_kraus_stage(
-            ch.marginal_kraus(spec, layout, side).operators, pos, len(keep))
+    stage = ch.channel_memo(
+        spec, layout, ("kraus stage", side),
+        lambda: _make_kraus_stage(ch.marginal_kraus(spec, layout, side).operators,
+                                  pos, len(keep)))
     return _quadratic_forms(partial_trace_matrix(rho, keep, layout.n_qubits), pos,
-                            len(keep), _stage_cache[key])
+                            len(keep), stage)
 
 
 def _side_minima(rhos: np.ndarray, spec: ch.ChannelSpec, layout: RegisterLayout,

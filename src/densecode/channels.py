@@ -295,9 +295,20 @@ def _channel_key(spec: ChannelSpec, layout: RegisterLayout) -> tuple:
             layout.roles, tuple(sorted(layout.routing.items())))
 
 
-# memo of check_covariance, oldest entry evicted first
-_covariance_cache: dict = {}
-COVARIANCE_CACHE_SIZE = 256
+# memo of per-channel constants, oldest entry evicted first
+_channel_memo: dict = {}
+CHANNEL_MEMO_SIZE = 256
+
+
+def channel_memo(spec: ChannelSpec, layout: RegisterLayout, tag, build):
+    """``build()``, memoized per (channel, layout, ``tag``) for at most
+    ``CHANNEL_MEMO_SIZE`` entries; the oldest entry is evicted first."""
+    key = _channel_key(spec, layout) + (tag,)
+    if key not in _channel_memo:
+        if len(_channel_memo) >= CHANNEL_MEMO_SIZE:
+            del _channel_memo[next(iter(_channel_memo))]
+        _channel_memo[key] = build()
+    return _channel_memo[key]
 
 
 def check_covariance(spec: ChannelSpec,
@@ -308,28 +319,25 @@ def check_covariance(spec: ChannelSpec,
 
     Probes every basis element against a fixed random set of pure-state
     density matrices and returns the max absolute entry deviation. The value
-    is a diagnostic: ~0 means covariant. Results are memoized (the probe set
-    is fixed, so the value is deterministic), for at most
-    ``COVARIANCE_CACHE_SIZE`` channels.
+    is a diagnostic: ~0 means covariant. Results are memoized by
+    ``channel_memo`` (the probe set is fixed, so the value is deterministic).
     """
     layout = layout if layout is not None else RegisterLayout.split(2)
-    key = _channel_key(spec, layout)
-    if key in _covariance_cache:
-        return _covariance_cache[key]
-    kset = kraus_for(spec, layout)
-    basis = pauli_basis(len(layout.sender_indices))
 
-    def lam(x):
-        return sum(k @ x @ dag(k) for k in kset.operators)
+    def deviation() -> float:
+        kset = kraus_for(spec, layout)
+        basis = pauli_basis(len(layout.sender_indices))
 
-    dev = 0.0
-    for rho in _probe_states(kset.dim):
-        lam_rho = lam(rho)
-        for w in basis:
-            lhs = lam(w @ rho @ dag(w))
-            rhs = w @ lam_rho @ dag(w)
-            dev = max(dev, float(np.abs(lhs - rhs).max()))
-    if len(_covariance_cache) >= COVARIANCE_CACHE_SIZE:
-        del _covariance_cache[next(iter(_covariance_cache))]
-    _covariance_cache[key] = dev
-    return dev
+        def lam(x):
+            return sum(k @ x @ dag(k) for k in kset.operators)
+
+        dev = 0.0
+        for rho in _probe_states(kset.dim):
+            lam_rho = lam(rho)
+            for w in basis:
+                lhs = lam(w @ rho @ dag(w))
+                rhs = w @ lam_rho @ dag(w)
+                dev = max(dev, float(np.abs(lhs - rhs).max()))
+        return dev
+
+    return channel_memo(spec, layout, "covariance", deviation)

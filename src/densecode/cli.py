@@ -174,9 +174,14 @@ def summarize_rows(rows, n_samples: int, seed: int, channel: str) -> HaarSummary
 
 def run_haar(n_samples: int, seed: int, channel: str, out_path: str,
              jobs: int = 1) -> HaarSummary:
+    if n_samples < 1:
+        raise ValueError("haar mode needs n >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    RngSeed(seed)               # a seed outside 64 bits fails here, not in a chunk
     spec = parse_channel(channel)
     line = GghzLine.build(spec)
-    workers = max(min(jobs, n_samples), 1)
+    workers = min(jobs, n_samples)
     chunk = max(64, math.ceil(n_samples / workers / 8))
     if workers > 1:
         # every worker gets at least one chunk; one worker runs in this process
@@ -203,7 +208,7 @@ def run_haar(n_samples: int, seed: int, channel: str, out_path: str,
 def run_gghz_curve(points: int, channel: str, out_path: str) -> None:
     """CSV rows (m, ggm, bound_bits) for the two-term family."""
     if points < 2:
-        raise ValueError("need at least 2 points")
+        raise ValueError("gghz-curve needs at least 2 points")
     m_vals, bounds = _gghz_family(points, parse_channel(channel))
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -216,20 +221,24 @@ def run_channel_scan(family: str, points: int | None, seed: int,
     """GHZ bound sweep: numeric optimizer vs closed form.
 
     ``ad``/``pd`` sweep the damping strength over [0, 1]; ``pauli`` draws
-    random weight vectors from the probability simplex.
+    random weight vectors from the probability simplex. ``points`` None
+    takes 11 damping strengths or 50 draws.
     """
+    if points is not None and points < 1:
+        raise ValueError("channel-scan needs at least 1 point")
+    RngSeed(seed)               # a seed outside 64 bits fails for every family
     # (leading CSV cells, channel) per row
     if family in ("ad", "pd"):
         make = (ChannelSpec.amplitude_damping if family == "ad"
                 else ChannelSpec.phase_damping)
         header = ["param"]
         cases = [([_fmt(t)], make(float(t), float(t)))
-                 for t in np.linspace(0.0, 1.0, points if points is not None else 11)]
+                 for t in np.linspace(0.0, 1.0, points or 11)]
     elif family == "pauli":
         gen = np.random.default_rng(seed)
         header = ["draw", "q0", "q1", "q2", "q3"]
         cases = []
-        for i in range(points if points is not None else 50):
+        for i in range(points or 50):
             q = gen.dirichlet(np.ones(4))
             cases.append(([str(i)] + [_fmt(v) for v in q],
                           ChannelSpec.pauli_correlated(q / q.sum())))
@@ -320,41 +329,6 @@ def run_ggm(state_arg: str, write=print) -> float:
 # argument handling
 # ---------------------------------------------------------------------------
 
-GGHZ_CURVE_POINTS = 201
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved settings for one CLI invocation; its field defaults are the
-    CLI's defaults (``points`` None: the mode's own)."""
-
-    mode: str
-    n_samples: int = 50000
-    seed: int = 42
-    channel: str = "none"
-    out: str | None = None
-    points: int | None = None
-    jobs: int = 1
-    state: str = "ghz"
-    family: str = "ad"
-
-    def __post_init__(self):
-        if self.mode not in ("haar", "gghz-curve", "channel-scan", "bound", "ggm"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "gghz-curve" and self.points is None:
-            object.__setattr__(self, "points", GGHZ_CURVE_POINTS)
-        if self.mode == "haar" and self.n_samples < 1:
-            raise ValueError("haar mode needs n >= 1")
-        if self.mode == "gghz-curve" and self.points < 2:
-            raise ValueError("gghz-curve needs at least 2 points")
-        if self.mode == "channel-scan" and self.points is not None and self.points < 1:
-            raise ValueError("channel-scan needs at least 1 point")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-
-
 def _read_config(path: str) -> dict[str, str]:
     out = {}
     with open(path) as fh:
@@ -369,97 +343,73 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The CLI, the one source of its defaults. ``config`` (option -> text,
+    as a ``--config`` file gives it) replaces the defaults of the options a
+    mode reads; its text goes through the option's ``type`` as a flag's does."""
     p = argparse.ArgumentParser(
         prog="densecode",
         description="LOCC dense-coding capacity bounds and multipartite "
                     "entanglement for multiqubit states.")
     sub = p.add_subparsers(dest="mode", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="key=value defaults file")
-        sp.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (default {ExperimentConfig.seed})")
-        sp.add_argument("--channel", default=None,
-                        help="none | ad:g1,g2 | pd:p1,p2 | pauli:q0,q1,q2,q3 "
-                             "| pauli-gen:<16 values>")
-        sp.add_argument("--out", default=None, help="output CSV path")
-
-    sp = sub.add_parser("haar", help="Monte Carlo campaign over Haar states")
-    common(sp)
-    sp.add_argument("--n", type=int, default=None,
-                    help=f"number of samples (default {ExperimentConfig.n_samples})")
-    sp.add_argument("--jobs", type=int, default=None, help="worker processes")
-
-    sp = sub.add_parser("gghz-curve", help="two-term reference curve")
-    common(sp)
-    sp.add_argument("--points", type=int, default=None,
-                    help=f"sweep points (default {GGHZ_CURVE_POINTS})")
-
-    sp = sub.add_parser("channel-scan", help="GHZ bound vs closed form")
-    common(sp)
-    sp.add_argument("--family", default=None, help="ad | pd | pauli")
-    sp.add_argument("--points", type=int, default=None)
-
-    sp = sub.add_parser("bound", help="capacity bounds for one state")
-    common(sp)
-    sp.add_argument("--state", default=None,
-                    help="ghz | gghz:p[,phi] | <state file>")
-
-    sp = sub.add_parser("ggm", help="GGM of one state")
-    common(sp)
-    sp.add_argument("--state", default=None)
-
+    options = {
+        "n": dict(type=int, default=50000, help="number of samples (default %(default)s)"),
+        "seed": dict(type=int, default=42, help="RNG seed (default %(default)s)"),
+        "channel": dict(default="none", help="none | ad:g1,g2 | pd:p1,p2 | "
+                        "pauli:q0,q1,q2,q3 | pauli-gen:<16 values> (default %(default)s)"),
+        "jobs": dict(type=int, default=1, help="worker processes (default %(default)s)"),
+        "points": dict(type=int, help="sweep points (default %(default)s)"),
+        "family": dict(default="ad", help="ad | pd | pauli (default %(default)s)"),
+        "state": dict(default="ghz", help="ghz | gghz:p[,phi] | <state file> "
+                      "(default %(default)s)"),
+        "out": dict(help="output CSV path (default %(default)s)"),
+    }
+    # mode -> (help, its options with the keywords it sets on them)
+    modes = {
+        "haar": ("Monte Carlo campaign over Haar states",
+                 {"n": {}, "seed": {}, "channel": {}, "jobs": {},
+                  "out": {"default": "haar.csv"}}),
+        "gghz-curve": ("two-term reference curve",
+                       {"channel": {}, "points": {"default": 201},
+                        "out": {"default": "gghz_curve.csv"}}),
+        "channel-scan": ("GHZ bound vs closed form",
+                         {"family": {}, "points": {"help": "sweep points (default 11 "
+                                                           "for ad and pd, 50 for pauli)"},
+                          "seed": {}, "out": {"default": "channel_scan.csv"}}),
+        "bound": ("capacity bounds for one state", {"state": {}, "channel": {}}),
+        "ggm": ("GGM of one state", {"state": {}}),
+    }
+    for mode, (text, own) in modes.items():
+        sp = sub.add_parser(mode, help=text)
+        sp.add_argument("--config", help="key=value defaults file; flags override it")
+        for name, keywords in own.items():
+            sp.add_argument(f"--{name}", **{**options[name], **keywords})
+        sp.set_defaults(**{k: v for k, v in (config or {}).items() if k in own})
     return p
 
 
-# CLI option -> (ExperimentConfig field, parser of a config-file value)
-_OPTIONS = {"n": ("n_samples", int), "seed": ("seed", int), "channel": ("channel", str),
-            "out": ("out", str), "points": ("points", int), "jobs": ("jobs", int),
-            "state": ("state", str), "family": ("family", str)}
-
-
-def _resolve(args: argparse.Namespace, config: dict) -> dict:
-    """The options set on the command line, else in the config file."""
-    out = {}
-    for key, (field, cast) in _OPTIONS.items():
-        val = getattr(args, key, None)
-        if val is None and key in config:
-            val = cast(config[key])
-        if val is not None:
-            out[field] = val
-    return out
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        config = _read_config(args.config) if args.config else {}
-        cfg = ExperimentConfig(mode=args.mode, **_resolve(args, config))
-        if cfg.mode == "haar":
-            out = cfg.out or "haar.csv"
-            summary = run_haar(cfg.n_samples, cfg.seed, cfg.channel, out,
-                               jobs=cfg.jobs)
+        args = build_parser().parse_args(argv)
+        if args.config:
+            args = build_parser(_read_config(args.config)).parse_args(argv)
+        if args.mode == "haar":
+            summary = run_haar(args.n, args.seed, args.channel, args.out, jobs=args.jobs)
             for line in summary.lines():
                 print(line)
-            print(f"csv: {out}")
-        elif cfg.mode == "gghz-curve":
-            out = cfg.out or "gghz_curve.csv"
-            run_gghz_curve(cfg.points, cfg.channel, out)
-            print(f"csv: {out}")
-        elif cfg.mode == "channel-scan":
-            out = cfg.out or "channel_scan.csv"
-            run_channel_scan(cfg.family, cfg.points, cfg.seed, out)
-            print(f"csv: {out}")
-        elif cfg.mode == "bound":
-            run_bound(cfg.state, cfg.channel)
-        elif cfg.mode == "ggm":
-            run_ggm(cfg.state)
+        elif args.mode == "gghz-curve":
+            run_gghz_curve(args.points, args.channel, args.out)
+        elif args.mode == "channel-scan":
+            run_channel_scan(args.family, args.points, args.seed, args.out)
+        elif args.mode == "bound":
+            run_bound(args.state, args.channel)
+        else:
+            run_ggm(args.state)
+        if "out" in args:
+            print(f"csv: {args.out}")
         return EXIT_OK
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except (ValueError, StateFormatError, OSError) as exc:
         print(f"densecode: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

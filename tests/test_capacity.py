@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from densecode import capacity
+from densecode import capacity, channels
 from densecode.capacity import (DEFAULT_OPT, EncodingUnitaryParams,
                                 _params_from_quaternion,
                                 OptConfig, closed_form_ghz_bound, covariant_chi,
@@ -357,15 +357,16 @@ def test_side_objective_matches_full_register_oracle(senders, channel):
 def test_cached_constants_are_read_only_and_stages_bounded(monkeypatch):
     assert not capacity._start_quaternions(16, 1).flags.writeable
     assert not capacity._unit_products(2).flags.writeable
-    monkeypatch.setattr(capacity, "STAGE_CACHE_SIZE", 2)
-    monkeypatch.setattr(capacity, "_stage_cache", {})
+    # the Kraus stages live in the channel memo, which check_covariance shares
+    monkeypatch.setattr(channels, "CHANNEL_MEMO_SIZE", 2)
+    monkeypatch.setattr(channels, "_channel_memo", {})
     rho = GHZ.density().matrix
     specs = [ChannelSpec.amplitude_damping(g, 1.0 - g) for g in (0.1, 0.2, 0.3)]
     first = [capacity._side_forms(rho, spec, LAYOUT, 1) for spec in specs]
-    assert len(capacity._stage_cache) == 2
+    assert len(channels._channel_memo) == 2
     # an evicted stage is rebuilt to the same forms
     assert np.array_equal(capacity._side_forms(rho, specs[0], LAYOUT, 1), first[0])
-    assert len(capacity._stage_cache) == 2
+    assert len(channels._channel_memo) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -213,16 +213,16 @@ def test_amplitude_damping_not_covariant():
 
 
 def test_covariance_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(channels, "COVARIANCE_CACHE_SIZE", 4)
-    monkeypatch.setattr(channels, "_covariance_cache", {})
+    monkeypatch.setattr(channels, "CHANNEL_MEMO_SIZE", 4)
+    monkeypatch.setattr(channels, "_channel_memo", {})
     specs = [ChannelSpec.amplitude_damping(g, 1.0 - g)
              for g in np.linspace(0.05, 0.45, 10)]
     first = [check_covariance(spec) for spec in specs]
-    assert len(channels._covariance_cache) == 4
-    assert sorted(channels._covariance_cache.values()) == sorted(first[-4:])
+    assert len(channels._channel_memo) == 4
+    assert sorted(channels._channel_memo.values()) == sorted(first[-4:])
     # evicted channels are recomputed to the same deviation
     assert [check_covariance(spec) for spec in specs] == first
-    assert len(channels._covariance_cache) == 4
+    assert len(channels._channel_memo) == 4
 
 
 # ---------------------------------------------------------------------------

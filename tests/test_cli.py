@@ -338,3 +338,94 @@ def test_unset_options_take_the_config_defaults(tmp_path, monkeypatch, capsys):
     assert main(["gghz-curve", "--out", str(tmp_path / "g.csv")]) == 0
     assert calls == {"haar": (50000, 42, "none", 1), "gghz-curve": (201, "none")}
     assert "mode=haar n=50000 seed=42 channel=none" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n, jobs, seed", [(0, 1, 1), (5, 0, 1), (5, 1, -1), (5, 1, 1 << 64)],
+                         ids=["n=0", "jobs=0", "seed=-1", "seed=2^64"])
+def test_haar_rejects_bad_settings_before_building_the_line(tmp_path, monkeypatch,
+                                                            n, jobs, seed):
+    built = []
+    monkeypatch.setattr(GghzLine, "build", classmethod(lambda cls, spec: built.append(spec)))
+    out = tmp_path / "h.csv"
+    with pytest.raises(ValueError):
+        run_haar(n, seed, "ad:0.3,0.3", str(out), jobs=jobs)
+    assert built == [] and not out.exists()
+
+
+@pytest.mark.parametrize("family", ["ad", "pd", "pauli"])
+def test_channel_scan_rejects_zero_points_before_writing(tmp_path, family):
+    out = tmp_path / "s.csv"
+    with pytest.raises(ValueError):
+        run_channel_scan(family, 0, 1, str(out))
+    assert not out.exists()
+
+
+# (mode, option, a value other than the mode's default): every option of every mode
+MODE_OPTIONS = [
+    ("haar", "n", "7"), ("haar", "seed", "3"), ("haar", "channel", "ad:0.3,0.3"),
+    ("haar", "jobs", "2"), ("haar", "out", "h.csv"),
+    ("gghz-curve", "channel", "pd:0.4,0.7"), ("gghz-curve", "points", "9"),
+    ("gghz-curve", "out", "g.csv"),
+    ("channel-scan", "family", "pauli"), ("channel-scan", "points", "3"),
+    ("channel-scan", "seed", "3"), ("channel-scan", "out", "s.csv"),
+    ("bound", "state", "gghz:0.8"), ("bound", "channel", "ad:0.3,0.3"),
+    ("ggm", "state", "gghz:0.8"),
+]
+
+
+def _record_runs(monkeypatch) -> list:
+    """Replace every ``run_*`` that ``main`` calls by a recorder of its arguments."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return cli.HaarSummary(n_samples=1, seed=0, channel="none")
+
+    for name in ("run_haar", "run_gghz_curve", "run_channel_scan", "run_bound", "run_ggm"):
+        monkeypatch.setattr(cli, name, record)
+    return calls
+
+
+@pytest.mark.parametrize("mode, option, value", MODE_OPTIONS,
+                         ids=[f"{m}-{o}" for m, o, _ in MODE_OPTIONS])
+def test_config_file_and_flag_reach_the_run_alike(tmp_path, monkeypatch, capsys,
+                                                  mode, option, value):
+    calls = _record_runs(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{option}={value}\n")
+    assert main([mode]) == 0
+    assert main([mode, "--config", str(cfg)]) == 0
+    assert main([mode, f"--{option}", value]) == 0
+    default, from_file, from_flag = calls
+    assert from_file == from_flag != default
+
+
+def test_config_keys_of_other_modes_are_ignored(tmp_path, monkeypatch, capsys):
+    calls = _record_runs(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=7\nseed=3\nchannel=ad:0.3,0.3\njobs=2\nout=x.csv\n"
+                   "points=3\nfamily=pauli\n")
+    assert main(["ggm", "--config", str(cfg)]) == 0
+    assert calls == [(("ghz",), {})]
+    assert "csv:" not in capsys.readouterr().out
+
+
+def test_config_value_goes_through_the_option_type(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n=many\n")
+    assert main(["haar", "--config", str(cfg), "--out", str(tmp_path / "h.csv")]) == 2
+    assert "argument --n: invalid int value: 'many'" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["ggm", "--channel", "ad:0.3,0.3"],
+                                  ["bound", "--out", "b.csv"],
+                                  ["channel-scan", "--channel", "none"],
+                                  ["gghz-curve", "--seed", "3"]],
+                         ids=lambda argv: f"{argv[0]}{argv[1]}")
+def test_a_mode_rejects_an_option_it_does_not_read(monkeypatch, capsys, argv):
+    calls = _record_runs(monkeypatch)
+    assert main(argv) == 2
+    assert f"densecode: error: unrecognized arguments: {' '.join(argv[1:])}" in \
+        capsys.readouterr().err
+    assert calls == []
